@@ -45,9 +45,9 @@ class PointConfiguration:
     """n labeled points in R^d with cached pairwise unit directions.
 
     ``pairwise_dirs[i, j]`` is the unit vector from point i to point j; the
-    reverse entry is stored as its exact negation, so antisymmetry holds
-    bitwise.  Instances are immutable after construction and safe to share
-    across workers.
+    reverse entry equals its exact negation, so antisymmetry holds exactly
+    (a zero component is +0.0 in both entries).  Instances are immutable
+    after construction and safe to share across workers.
     """
 
     def __init__(self, raw_points, distinctness_tol: float | None = None):
@@ -72,12 +72,9 @@ class PointConfiguration:
                 f"points {imin[0]} and {imin[1]} coincide within {distinctness_tol!r}"
             )
 
-        dirs = np.zeros((n, n, d))
-        for i in range(n):
-            for j in range(i + 1, n):
-                u = (pts[j] - pts[i]) / dists[i, j]
-                dirs[i, j] = u
-                dirs[j, i] = -u
+        # a - b == -(b - a) and the two norms are equal, so dividing the whole
+        # table reproduces the exact negation in the reverse entries
+        dirs = np.divide(diffs, dists[:, :, None], out=diffs, where=dists[:, :, None] > 0.0)
 
         pts.setflags(write=False)
         dirs.setflags(write=False)

@@ -403,10 +403,28 @@ def _segment_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndar
 def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
     """Vectorized boundary distances for a batch of points.
 
-    Uses closed-form segment/polygon projections for facet dimensions up to
-    2 and falls back to the recursive scalar path otherwise.
+    A point with every facet slack ``offset - <outward_normal, x>`` at least
+    0 lies in the hull, and its distance to the boundary is its smallest
+    slack: the ball of that radius stays inside and touches the nearest facet
+    plane at a point of the hull.  Points outside are projected onto the
+    facets.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    best = np.full(pts.shape[0], np.inf)
+    for facet in hull.facets:
+        best = np.minimum(best, facet.offset - pts @ facet.outward_normal)
+    out = best < 0.0
+    if np.any(out):
+        best[out] = _projected_distances(hull, pts[out])
+    return best
+
+
+def _projected_distances(hull: HullDescription, pts: np.ndarray) -> np.ndarray:
+    """Boundary distances by exact projection onto every facet.
+
+    Closed-form segment/polygon projections for facet dimensions up to 2,
+    the recursive scalar path otherwise.
+    """
     best = np.full(pts.shape[0], np.inf)
     tol = hull.coplanarity_tol
     for kind, data in _facet_geometry(hull):

@@ -184,121 +184,20 @@ def outer_normal_transform(hull: HullDescription) -> HullDescription:
     return build_hull(config)
 
 
-def _hasse(levels: dict, order_pairs: set):
-    """Cover relation of a graded poset given ranks and the full order."""
-    covers = {e: [] for e in levels}
-    for a, b in order_pairs:
-        if levels[b] == levels[a] + 1:
-            covers[b].append(a)
-    return {e: tuple(sorted(v)) for e, v in covers.items()}
-
-
-def _poset_signature(elems, rank, children, parents):
-    """Iterated partition refinement; labels are isomorphism invariants."""
-    label = {e: rank[e] for e in elems}
-    n_classes = len(set(label.values()))
-    while True:
-        fresh = {
-            e: (
-                label[e],
-                tuple(sorted(label[c] for c in children[e])),
-                tuple(sorted(label[p] for p in parents[e])),
-            )
-            for e in elems
-        }
-        canon = {}
-        for e in sorted(elems, key=lambda x: fresh[x]):
-            label[e] = canon.setdefault(fresh[e], len(canon))
-        if len(canon) == n_classes:
-            return label
-        n_classes = len(canon)
-
-
-def _lattices_isomorphic(rank_a, covers_a, rank_b, covers_b) -> bool:
-    """Backtracking isomorphism test on two graded posets given cover relations."""
-    elems_a = sorted(rank_a)
-    elems_b = sorted(rank_b)
-    if len(elems_a) != len(elems_b):
-        return False
-    parents_a = {e: [] for e in elems_a}
-    parents_b = {e: [] for e in elems_b}
-    for e, kids in covers_a.items():
-        for k in kids:
-            parents_a[k].append(e)
-    for e, kids in covers_b.items():
-        for k in kids:
-            parents_b[k].append(e)
-    sig_a = _poset_signature(elems_a, rank_a, covers_a, parents_a)
-    sig_b = _poset_signature(elems_b, rank_b, covers_b, parents_b)
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return False
-
-    candidates = {}
-    for e in elems_a:
-        candidates[e] = [f for f in elems_b if sig_b[f] == sig_a[e]]
-        if not candidates[e]:
-            return False
-    order = sorted(elems_a, key=lambda e: len(candidates[e]))
-    mapping = {}
-    used = set()
-
-    def consistent(e, f):
-        # a bijection preserving cover adjacency both ways preserves the order
-        for other, img in mapping.items():
-            a_rel = e in covers_a[other] or other in covers_a[e]
-            b_rel = f in covers_b[img] or img in covers_b[f]
-            if a_rel != b_rel:
-                return False
-        return True
-
-    def backtrack(k):
-        if k == len(order):
-            return True
-        e = order[k]
-        for f in candidates[e]:
-            if f in used or not consistent(e, f):
-                continue
-            mapping[e] = f
-            used.add(f)
-            if backtrack(k + 1):
-                return True
-            del mapping[e]
-            used.discard(f)
-        return False
-
-    return backtrack(0)
-
-
-def _face_poset(hull: HullDescription, reverse: bool = False):
-    """(rank, covers) of the hull's proper-face lattice, optionally dualized."""
-    d = hull.dim
-    rank = {}
-    for f in hull.faces:
-        rank[f.face_id] = (d - 1 - f.dim) if reverse else f.dim
-    sets = {f.face_id: frozenset(f.vertex_indices) for f in hull.faces}
-    pairs = set()
-    for a in hull.faces:
-        for b in hull.faces:
-            if a.face_id == b.face_id:
-                continue
-            if sets[a.face_id] < sets[b.face_id]:
-                if reverse:
-                    pairs.add((b.face_id, a.face_id))
-                else:
-                    pairs.add((a.face_id, b.face_id))
-    covers = _hasse(rank, pairs)
-    return rank, covers
-
-
 def dual_combinatorics_check(hull: HullDescription,
                              planarity_tol: float = FLATTEN_PLANARITY_TOL) -> DualCheckResult:
     """Convexity of the flattened dual vs combinatorial equivalence of the transform.
 
     ``flattened_convex`` holds iff every flattened cell is planar and its
     supporting plane keeps all other cell vertices strictly on the origin
-    side.  ``equivalent`` holds iff the face lattice of the hull of the facet
-    normals is isomorphic to the hull's dual lattice.  The two booleans agree
-    on every valid input.
+    side.  ``equivalent`` holds iff the hull of the facet normals, with normal
+    k labelled by hull facet k, has as its facets exactly the hull's labelled
+    vertex stars (the set of facets incident to each vertex): the transform
+    is then dual to the hull under the facet-to-normal labelling.  The two
+    booleans agree on every valid input whose facet normals lie well apart
+    compared with ``planarity_tol``; on a nearly degenerate hull, such as a
+    cube perturbed by 1e-4, a flattened cell can pass as planar within
+    ``planarity_tol`` while the transform's facets split it.
     """
     if hull.dim != 3:
         raise DimensionUnsupportedError("duality check is defined for d = 3")
@@ -329,8 +228,12 @@ def dual_combinatorics_check(hull: HullDescription,
             flattened_convex = False
             break
 
+    # transform point k is the normal of hull facet k, and every distinct unit
+    # vector is extreme, so both sides below are sets of facet labels
     transform = outer_normal_transform(hull)
-    rank_t, covers_t = _face_poset(transform, reverse=False)
-    rank_d, covers_d = _face_poset(hull, reverse=True)
-    equivalent = _lattices_isomorphic(rank_t, covers_t, rank_d, covers_d)
+    stars = {
+        frozenset(k for k, f in enumerate(hull.facets) if v in f.vertex_indices)
+        for v in hull.vertices
+    }
+    equivalent = stars == {frozenset(f.vertex_indices) for f in transform.facets}
     return DualCheckResult(equivalent=equivalent, flattened_convex=flattened_convex)

@@ -437,12 +437,12 @@ class _SpanHull:
             t = local[:, 0]
             inplane = np.maximum(0.0, np.maximum(self.lo - t, t - self.hi))
         else:
-            inplane = distances_to_boundary(self.local_hull, local)
-            facets = self.local_hull.facets
             inside = np.ones(local.shape[0], dtype=bool)
-            for f in facets:
+            for f in self.local_hull.facets:
                 inside &= local @ f.outward_normal <= f.offset + self.local_hull.coplanarity_tol
-            inplane[inside] = 0.0
+            inplane = np.zeros(local.shape[0])
+            if not np.all(inside):
+                inplane[~inside] = distances_to_boundary(self.local_hull, local[~inside])
         return np.sqrt(off_dist ** 2 + inplane ** 2)
 
     def sample_body(self, count: int, seed: int) -> np.ndarray:

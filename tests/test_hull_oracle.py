@@ -197,6 +197,18 @@ def test_vectorized_distances_match_scalar():
         vec = distances_to_boundary(hull, pts)
         scalar = np.array([boundary_distance(hull, p)[0] for p in pts])
         assert np.allclose(vec, scalar, atol=1e-9)
+    # inside points take the smallest facet slack, boundary samples and
+    # outside points the projection; both must agree with the scalar path
+    for d, n in ((2, 20), (3, 12), (3, 20), (4, 8), (4, 12)):
+        cfg = random_configuration(rng, n, d)
+        hull = build_hull(cfg)
+        inner = rng.dirichlet(np.full(n, 0.5), size=40) @ cfg.points
+        on_boundary, _ = sample_boundary(hull, 2, seed=int(rng.integers(1 << 30)))
+        outer = rng.standard_normal((20, d)) * 2.0
+        pts = np.vstack([inner, on_boundary, outer])
+        vec = distances_to_boundary(hull, pts)
+        scalar = np.array([boundary_distance(hull, p)[0] for p in pts])
+        assert np.abs(vec - scalar).max() <= 1e-12 * hull.diameter
 
 
 def test_brute_force_distance_oracle(square_hull):

@@ -237,6 +237,13 @@ def test_dual_check_fixtures(cube_hull, tetrahedron_hull, truncated_tetrahedron_
     assert res.equivalent is False and res.flattened_convex is False
 
 
+def _polar_vertices(points):
+    """Vertices of {x : <p, x> <= 1 for all p}; the origin must be inside conv(points)."""
+    hull = build_hull(build_configuration(points))
+    assert min(f.offset for f in hull.facets) > 0.0
+    return np.asarray([f.outward_normal / f.offset for f in hull.facets])
+
+
 def test_dual_check_agreement_properties():
     """The two booleans agree on every d=3 hull we can throw at them."""
     rng = np.random.default_rng(77)
@@ -253,6 +260,17 @@ def test_dual_check_agreement_properties():
     fixtures.append(tt + 1e-3 * rng.standard_normal(tt.shape))
     for _ in range(4):
         fixtures.append(rng.standard_normal((int(rng.integers(5, 9)), 3)))
+    # simple polytope: a triangular prism whose five facet normals span a
+    # bipyramid with other apexes, so that hull is abstractly dual to the
+    # prism but not under the facet-to-normal labelling
+    fixtures.append(_polar_vertices([[-0.4, -0.4, 1.2], [-0.4, 0.2, -0.4], [0.7, -0.2, 0.0],
+                                     [-0.5, 1.5, -0.3], [-0.5, -0.6, 0.0]]))
+    # simple polytopes: polars of random points centred on the origin
+    for m in (5, 6, 7, 8):
+        u = rng.standard_normal((m, 3))
+        u *= rng.uniform(0.7, 1.3, m)[:, None] / np.linalg.norm(u, axis=1)[:, None]
+        u -= u.mean(axis=0)
+        fixtures.append(_polar_vertices(u))
     for pts in fixtures:
         cfg = build_configuration(pts)
         from hullmaps import is_nondegenerate
