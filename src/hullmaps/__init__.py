@@ -7,7 +7,6 @@ evaluates the maps, builds the hull and its normal-fan/spherical-dual
 structure as ground truth, and measures the convergence.
 """
 
-from . import _kernels
 from .boundary_map import (
     MapImage,
     WeightVector,
@@ -92,4 +91,7 @@ from .sphere_sampling import CapFocus, SamplePlan, sample, sample_near
 
 __version__ = "0.1.0"
 
-kernel_backend = _kernels.backend_name
+
+def kernel_backend() -> str:
+    """Name of the weight kernel that evaluates the map; there is one, ``"numpy"``."""
+    return "numpy"

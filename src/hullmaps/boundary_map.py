@@ -5,6 +5,11 @@ For a configuration x_1..x_n and direction n, each pair factor is
 products of these factors, and the map value is the weighted point average.
 Products are formed in the log domain so that moderate n stays well clear of
 underflow.
+
+Every public evaluator runs one NumPy kernel, :func:`_eval_batch`.  Each of
+its array operations is row-independent and sums in a fixed order, so a
+direction's result does not depend on the batch it came in or on how the
+batch is chunked.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import IndexOutOfRangeError, NumericalOverflowError
 from .geom_core import PointConfiguration, unit_vector
 
 MAX_POINTS = 1000
 MAX_DIM = 6
+_CHUNK_BUDGET = 65_536  # floats per (chunk, n, n) buffer; both buffers fit in a 2 MiB L2
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,49 @@ def _as_dir_batch(config: PointConfiguration, dirs) -> np.ndarray:
     return arr
 
 
+def _eval_batch(points, pair_dirs, eps, dirs):
+    """(lambdas, log_c, images) for a batch of unit directions.
+
+    ``log_c[k, i]`` sums ``log(eps + max(0, -<dirs[k], pair_dirs[i, j]>))``
+    over ``j != i``.  The dots accumulate coordinate by coordinate, never
+    through a matrix product, whose blocking would make a row's rounding
+    depend on the batch size.
+    """
+    n, d = points.shape
+    nb = dirs.shape[0]
+    planes = np.ascontiguousarray(np.moveaxis(pair_dirs, 2, 0))  # (d, n, n)
+    lambdas = np.empty((nb, n))
+    log_c = np.empty((nb, n))
+    images = np.zeros((nb, d))
+
+    chunk = max(1, _CHUNK_BUDGET // (n * n))
+    dots_buf = np.empty((min(chunk, nb), n, n))
+    term_buf = np.empty_like(dots_buf)
+    for start in range(0, nb, chunk):
+        sl = slice(start, min(start + chunk, nb))
+        block = dirs[sl]
+        dots = dots_buf[:block.shape[0]]
+        term = term_buf[:block.shape[0]]
+        np.multiply(block[:, 0, None, None], planes[0], out=dots)
+        for c in range(1, d):
+            np.multiply(block[:, c, None, None], planes[c], out=term)
+            dots += term
+        # eps - min(0, dot) is exactly eps + max(0, -dot)
+        np.minimum(dots, 0.0, out=dots)
+        np.subtract(eps, dots, out=dots)
+        dots.reshape(-1, n * n)[:, ::n + 1] = 1.0  # log(1) = 0 stands in for j = i
+        np.log(dots, out=dots)
+        lc = log_c[sl]
+        np.sum(dots, axis=2, out=lc)
+        lam = lambdas[sl]
+        np.subtract(lc, lc.max(axis=1)[:, None], out=lam)
+        np.exp(lam, out=lam)
+        lam /= lam.sum(axis=1)[:, None]
+    for i in range(n):
+        images += lambdas[:, i, None] * points[i]
+    return lambdas, log_c, images
+
+
 def c_factor(config: PointConfiguration, i: int, j: int, epsilon: float, n) -> float:
     """Single pair factor ``eps + max(0, -<n, n_ij>)``; always positive."""
     _validate(config, epsilon)
@@ -83,7 +131,7 @@ def weights(config: PointConfiguration, epsilon: float, direction) -> WeightVect
     """Normalized point weights for one direction (log-domain, underflow-safe)."""
     _validate(config, epsilon)
     d = unit_vector(direction)
-    lam, log_c, _ = _kernels.eval_batch(
+    lam, log_c, _ = _eval_batch(
         config.points, config.pairwise_dirs, epsilon, d[None, :]
     )
     return WeightVector(epsilon=epsilon, direction=d, lambdas=lam[0], log_c=log_c[0])
@@ -93,7 +141,7 @@ def evaluate(config: PointConfiguration, epsilon: float, direction) -> MapImage:
     """Map one direction to its image point, a strict interior point of the hull."""
     _validate(config, epsilon)
     d = unit_vector(direction)
-    _, _, img = _kernels.eval_batch(
+    _, _, img = _eval_batch(
         config.points, config.pairwise_dirs, epsilon, d[None, :]
     )
     return MapImage(direction=d, point=img[0])
@@ -109,7 +157,7 @@ def evaluate_batch_array(config: PointConfiguration, epsilon: float, dirs) -> np
     arr = _as_dir_batch(config, dirs)
     if arr.shape[0] == 0:
         return np.empty((0, config.dim))
-    _, _, img = _kernels.eval_batch(config.points, config.pairwise_dirs, epsilon, arr)
+    _, _, img = _eval_batch(config.points, config.pairwise_dirs, epsilon, arr)
     return img
 
 
@@ -120,7 +168,7 @@ def weights_batch_array(config: PointConfiguration, epsilon: float, dirs):
     if arr.shape[0] == 0:
         n = config.n_points
         return np.empty((0, n)), np.empty((0, n)), np.empty((0, config.dim))
-    return _kernels.eval_batch(config.points, config.pairwise_dirs, epsilon, arr)
+    return _eval_batch(config.points, config.pairwise_dirs, epsilon, arr)
 
 
 def evaluate_batch(config: PointConfiguration, epsilon: float, dirs) -> list[MapImage]:

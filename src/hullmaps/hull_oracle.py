@@ -407,27 +407,38 @@ def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
     0 lies in the hull, and its distance to the boundary is its smallest
     slack: the ball of that radius stays inside and touches the nearest facet
     plane at a point of the hull.  Points outside are projected onto the
-    facets.
+    facets they violate.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     best = np.full(pts.shape[0], np.inf)
+    violated = []
     for facet in hull.facets:
-        best = np.minimum(best, facet.offset - pts @ facet.outward_normal)
+        slack = facet.offset - pts @ facet.outward_normal
+        violated.append(np.flatnonzero(slack < 0.0))
+        best = np.minimum(best, slack)
     out = best < 0.0
     if np.any(out):
-        best[out] = _projected_distances(hull, pts[out])
+        best[out] = _projected_distances(hull, pts, violated)[out]
     return best
 
 
-def _projected_distances(hull: HullDescription, pts: np.ndarray) -> np.ndarray:
-    """Boundary distances by exact projection onto every facet.
+def _projected_distances(hull: HullDescription, points: np.ndarray, violated) -> np.ndarray:
+    """Boundary distances of points outside the hull by exact projection.
 
-    Closed-form segment/polygon projections for facet dimensions up to 2,
-    the recursive scalar path otherwise.
+    ``violated[f]`` indexes the points with negative slack on facet f.  The
+    nearest hull point p of an outside x lies on such a facet: x - p is a
+    nonnegative combination of the normals of the facets through p, and
+    <x - p, x - p> > 0 makes one of those facets' slacks at x negative.  So
+    each facet projects only the points it violates, and points violating no
+    facet get inf.  Closed-form segment/polygon projections serve facet
+    dimensions up to 2, the recursive scalar path the others.
     """
-    best = np.full(pts.shape[0], np.inf)
+    best = np.full(points.shape[0], np.inf)
     tol = hull.coplanarity_tol
-    for kind, data in _facet_geometry(hull):
+    for sel, (kind, data) in zip(violated, _facet_geometry(hull)):
+        if sel.size == 0:
+            continue
+        pts = points[sel]
         if kind == "point":
             dist = np.linalg.norm(pts - data[None, :], axis=1)
         elif kind == "segment":
@@ -451,7 +462,7 @@ def _projected_distances(hull: HullDescription, pts: np.ndarray) -> np.ndarray:
                 dist[out] = dmin
         else:
             dist = np.asarray([distance_to_face(hull, data, p) for p in pts])
-        best = np.minimum(best, dist)
+        best[sel] = np.minimum(best[sel], dist)
     return best
 
 

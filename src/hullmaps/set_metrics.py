@@ -532,27 +532,38 @@ def _dist_to_limit_curve(pts: np.ndarray, half_width: float) -> np.ndarray:
     return np.minimum(d1, np.minimum(d2, d3))
 
 
-def _min_dists_to_polyline(pts: np.ndarray, verts: np.ndarray,
-                           chunk: int = 512) -> np.ndarray:
-    """Per-point distance to an open polyline given by consecutive vertices."""
+def _min_dists_to_polyline(pts: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Per-point distance to an open polyline given by consecutive vertices.
+
+    A point's distance r to its nearest vertex bounds its distance to the
+    polyline, and a segment of half-length h within r of the point has its
+    midpoint within r + h.  Segments up to four times the median half-length
+    go into a tree of midpoints queried at radius r + h_max, h_max their
+    largest half-length; the few longer ones are checked against every point.
+    Every candidate pair then gets the exact segment projection.
+    """
     a = verts[:-1]
     ab = verts[1:] - a
     denom = np.einsum("ij,ij->i", ab, ab)
+    half = 0.5 * np.sqrt(denom)
     denom = np.where(denom > 0, denom, 1.0)
+    long_seg = half > 4.0 * np.median(half)
+    short = np.flatnonzero(~long_seg)
+    long_idx = np.flatnonzero(long_seg)
+    r_vert, _ = cKDTree(verts).query(pts, k=1)
+    near = cKDTree((a + 0.5 * ab)[short]).query_ball_point(
+        pts, r_vert + half[short].max(), return_sorted=False)
+    counts = np.fromiter((len(c) for c in near), dtype=np.intp, count=pts.shape[0])
+    rows = np.arange(pts.shape[0])
+    p_idx = np.concatenate([np.repeat(rows, counts), np.repeat(rows, long_idx.size)])
+    s_idx = np.concatenate([short[np.concatenate(near).astype(np.intp)],
+                            np.tile(long_idx, pts.shape[0])])
+    p, a, ab = pts[p_idx], a[s_idx], ab[s_idx]
+    t = np.clip(np.einsum("ik,ik->i", p, ab) - np.einsum("ik,ik->i", a, ab), 0.0, None)
+    t = np.minimum(t / denom[s_idx], 1.0)
+    diff = p - (a + t[:, None] * ab)
     best = np.full(pts.shape[0], np.inf)
-    for start in range(0, a.shape[0], chunk):
-        asub = a[start:start + chunk]
-        absub = ab[start:start + chunk]
-        dsub = denom[start:start + chunk]
-        t = np.clip(
-            np.einsum("pk,sk->ps", pts, absub) - np.einsum("sk,sk->s", asub, absub),
-            0.0, None,
-        )
-        t = np.minimum(t / dsub, 1.0)
-        proj = asub[None, :, :] + t[:, :, None] * absub[None, :, :]
-        diff = pts[:, None, :] - proj
-        d2 = np.einsum("psk,psk->ps", diff, diff)
-        best = np.minimum(best, d2.min(axis=1))
+    np.minimum.at(best, p_idx, np.einsum("ik,ik->i", diff, diff))
     return np.sqrt(best)
 
 
