@@ -129,7 +129,7 @@ def cmd_dual(cfg: RunConfig) -> int:
     verdict = normal_fan_dual.dual_combinatorics_check(hull)
     cells = normal_fan_dual.flattened_spherical_dual(hull)
 
-    dirs = np.asarray([f.outward_normal for f in hull.facets])
+    dirs = hull.normals
     key = {tuple(np.round(v, 12)): k for k, v in enumerate(dirs)}
     index_cells = [[key[tuple(np.round(v, 12))] for v in cell] for _, cell in cells]
     fileio.write_obj_mesh(_with_suffix(cfg.out, "_spherical.obj"), dirs, index_cells)

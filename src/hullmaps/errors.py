@@ -30,7 +30,7 @@ class DegenerateConfigurationError(HullMapsError):
 
 
 class TooManyPointsError(HullMapsError):
-    """Configuration exceeds the brute-force hull size limit."""
+    """Configuration exceeds the hull size limits (n or d too large)."""
 
 
 class AmbiguousTieError(HullMapsError):

@@ -1,18 +1,15 @@
-"""Desk-scale exact convex hull: facets, face lattice, and boundary queries.
-
-Facets are found by brute-force enumeration of supporting hyperplanes through
-d-subsets; the face lattice is the closure of facet point-sets under
-intersection.  This favors a transparent correctness oracle over hull
-algorithmics, and size limits keep it honest.
+"""Convex hull for the map's range (n <= 1000, d <= 6): facets, face lattice,
+and boundary queries.  Qhull proposes the facets, the configuration's own
+points fix them, and the face lattice is the closure of the facet point sets
+under intersection; in d >= 5 the face count, not n, sets the cost.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.spatial import ConvexHull
 
 from .errors import (
     AmbiguousTieError,
@@ -20,12 +17,10 @@ from .errors import (
     IndexOutOfRangeError,
     TooManyPointsError,
 )
+from .boundary_map import MAX_DIM, MAX_POINTS
 from .geom_core import PointConfiguration, is_nondegenerate, unit_vector
 
 DEFAULT_TOL_REL = 1e-9
-
-# per-dimension point limits for the brute-force enumeration
-BRUTE_FORCE_LIMITS = {1: 400, 2: 60, 3: 30, 4: 24, 5: 18, 6: 14}
 
 
 @dataclass(frozen=True)
@@ -61,6 +56,8 @@ class HullDescription:
         self.containing_face = tuple(containing_face)
         self.coplanarity_tol = float(coplanarity_tol)
         self.diameter = config.diameter
+        self.normals = np.asarray([f.outward_normal for f in facets])
+        self.offsets = np.asarray([f.offset for f in facets])
         self._face_by_points = {frozenset(f.vertex_indices): f.face_id for f in faces}
         self._face_basis_cache = {}
         self._facet_geometry_cache = None
@@ -127,28 +124,29 @@ def _fit_hyperplane(pts: np.ndarray):
 
 
 def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> HullDescription:
-    """Enumerate facets and build the full face lattice.
+    """Find the facets and build the full face lattice.
 
-    Raises DegenerateConfigurationError if the points do not span R^d and
-    TooManyPointsError beyond the brute-force limits.
+    Each simplex of Qhull's triangulated boundary (in d = 1, each point) is a
+    candidate whose hyperplane is fitted, oriented outward and refitted over
+    all points within ``coplanarity_tol`` of it.  Raises
+    DegenerateConfigurationError if the points do not span R^d and
+    TooManyPointsError beyond n <= MAX_POINTS, d <= MAX_DIM.
     """
     if not is_nondegenerate(config):
         raise DegenerateConfigurationError(
             "points lie on a proper affine subspace; no full-dimensional hull"
         )
     d, n = config.dim, config.n_points
-    limit = BRUTE_FORCE_LIMITS.get(d)
-    if limit is None:
-        raise TooManyPointsError(f"hull construction supports d <= {max(BRUTE_FORCE_LIMITS)}")
-    if n > limit:
-        raise TooManyPointsError(f"brute-force hull limited to n <= {limit} for d = {d}")
+    if n > MAX_POINTS or d > MAX_DIM:
+        raise TooManyPointsError(f"hull construction supports n <= {MAX_POINTS}, d <= {MAX_DIM}")
 
     pts = config.points
     tol = coplanarity_tol if coplanarity_tol is not None else DEFAULT_TOL_REL * config.diameter
 
+    proposals = np.arange(n)[:, None] if d == 1 else np.sort(ConvexHull(pts).simplices, axis=1)
     candidate_sets = set()
-    for combo in itertools.combinations(range(n), d):
-        sub = pts[list(combo)]
+    for combo in proposals:
+        sub = pts[combo]
         if _affine_rank(sub) != d - 1:
             continue
         normal, offset = _fit_hyperplane(sub)
@@ -180,56 +178,55 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
     if not facet_data:
         raise DegenerateConfigurationError("no supporting facets found")
 
-    facet_sets = sorted(facet_data, key=lambda s: tuple(sorted(s)))
-
-    # face lattice: closure of facet point-sets under intersection
-    face_sets = set(facet_sets)
-    frontier = list(facet_sets)
+    # face lattice: closure of facet point-sets under intersection.  Every
+    # face is an intersection of facets, and two sets meet only through a
+    # shared point, so each new set is intersected with the facets through
+    # its points.
+    facets_through = [[] for _ in range(n)]
+    for s in facet_data:
+        for p in s:
+            facets_through[p].append(s)
+    face_sets = set(facet_data)
+    frontier = list(facet_data)
     while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in face_sets:
-                inter = a & b
-                if inter and inter not in face_sets and inter not in fresh:
-                    fresh.add(inter)
-        face_sets |= fresh
-        frontier = list(fresh)
+        frontier = {a & b for a in frontier
+                    for b in {f for p in a for f in facets_through[p]}} - face_sets
+        face_sets |= frontier
 
-    ordered = sorted(face_sets, key=lambda s: (_affine_rank(pts[sorted(s)]), tuple(sorted(s))))
-    dims = {s: _affine_rank(pts[sorted(s)]) for s in ordered}
+    dims = {s: _affine_rank(pts[sorted(s)]) for s in face_sets}
+    ordered = sorted(face_sets, key=lambda s: (dims[s], tuple(sorted(s))))
     id_of = {s: k for k, s in enumerate(ordered)}
 
-    facets = []
-    for s in facet_sets:
-        normal, offset = facet_data[s]
-        facets.append(Facet(face_id=id_of[s], vertex_indices=tuple(sorted(s)),
-                            outward_normal=normal, offset=offset))
-    facets.sort(key=lambda f: f.face_id)
+    facets = [Facet(fid, tuple(sorted(s)), *facet_data[s])
+              for fid, s in enumerate(ordered) if s in facet_data]
+    facet_ids = {f.face_id for f in facets}
 
+    # the faces containing a face are those through all of its points
+    faces_through = [set() for _ in range(n)]
+    for fid, s in enumerate(ordered):
+        for p in s:
+            faces_through[p].add(fid)
     faces = []
-    for s in ordered:
-        fid = id_of[s]
-        inc = tuple(sorted(id_of[fs] for fs in facet_sets if s <= fs))
-        faces.append(Face(face_id=fid, dim=dims[s],
-                          vertex_indices=tuple(sorted(s)), incident_facets=inc))
-
-    children = {}
-    for s in ordered:
-        kids = [id_of[t] for t in ordered if t < s and dims[t] == dims[s] - 1]
-        children[id_of[s]] = tuple(sorted(kids))
+    children = {fid: [] for fid in range(len(ordered))}
+    for fid, s in enumerate(ordered):
+        above = set.intersection(*(faces_through[p] for p in s))
+        faces.append(Face(face_id=fid, dim=dims[s], vertex_indices=tuple(sorted(s)),
+                          incident_facets=tuple(sorted(above & facet_ids))))
+        for k in above:
+            if dims[ordered[k]] == dims[s] + 1:
+                children[k].append(fid)
+    children = {fid: tuple(kids) for fid, kids in children.items()}
 
     vertex_flags = []
     containing_face = []
-    facet_set_by_id = {id_of[s]: s for s in facet_sets}
     for p in range(n):
-        inc = [fid for fid in sorted(facet_set_by_id) if p in facet_set_by_id[fid]]
-        if not inc:
+        on = sorted(facets_through[p], key=id_of.get)
+        if not on:
             vertex_flags.append("interior")
             containing_face.append(None)
             continue
-        minimal = frozenset.intersection(*[facet_set_by_id[fid] for fid in inc])
-        containing_face.append(id_of[minimal])
-        normals = np.asarray([facet_data[facet_set_by_id[fid]][0] for fid in inc])
+        containing_face.append(id_of[frozenset.intersection(*on)])
+        normals = np.asarray([facet_data[s][0] for s in on])
         rank = int(np.linalg.matrix_rank(normals, tol=1e-9))
         vertex_flags.append("vertex" if rank == d else "boundary_nonvertex")
 
@@ -306,14 +303,9 @@ def in_normal_spherical_polytope(config: PointConfiguration, i: int, n, strict: 
     return bool(np.all(dots <= 0.0))
 
 
-def _contains_in_affine_hull(hull: HullDescription, face_id: int, q: np.ndarray) -> bool:
-    """Convex-combination membership test for a point already in the face's span."""
-    pts = hull.face_points(face_id)
-    scale = 1.0 + float(np.abs(pts).max()) + hull.diameter
-    a = np.vstack([pts.T, np.ones(pts.shape[0])])
-    b = np.concatenate([q, [1.0]])
-    _, resid = nnls(a, b)
-    return resid <= 1e-8 * scale
+def _in_hull(hull: HullDescription, q: np.ndarray) -> bool:
+    """Facet-slack membership; for q in aff(F) it decides q in F, as F = K & aff(F)."""
+    return bool(np.all(hull.offsets - hull.normals @ q >= -hull.coplanarity_tol))
 
 
 def distance_to_face(hull: HullDescription, face_id: int, p) -> float:
@@ -328,7 +320,7 @@ def distance_to_face(hull: HullDescription, face_id: int, p) -> float:
         return float(np.linalg.norm(p - hull.face_points(face_id)[0]))
     origin, basis = hull._face_basis(face_id)
     q = origin + basis.T @ (basis @ (p - origin))
-    if _contains_in_affine_hull(hull, face_id, q):
+    if _in_hull(hull, q):
         return float(np.linalg.norm(p - q))
     return min(distance_to_face(hull, kid, p) for kid in hull.children[face_id])
 
@@ -558,7 +550,7 @@ def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.
     while filled < count:
         cand = lo + (hi - lo) * rng.random(face.dim)
         q = origin + basis.T @ cand
-        if _contains_in_affine_hull(hull, face_id, q):
+        if _in_hull(hull, q):
             out[filled] = q
             filled += 1
     return out

@@ -203,7 +203,7 @@ def dual_combinatorics_check(hull: HullDescription,
         raise DimensionUnsupportedError("duality check is defined for d = 3")
 
     cells = flattened_spherical_dual(hull)
-    all_dirs = np.asarray([f.outward_normal for f in hull.facets])
+    all_dirs = hull.normals
     flattened_convex = True
     for _, dirs in cells:
         center = dirs.mean(axis=0)
