@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRangeError, NumericalOverflowError
-from .geom_core import PointConfiguration, unit_vector
+from .geom_core import UNIT_NORM_TOL, PointConfiguration, unit_vector
 
 MAX_POINTS = 1000
 MAX_DIM = 6
@@ -68,7 +68,7 @@ def _as_dir_batch(config: PointConfiguration, dirs) -> np.ndarray:
     if arr.size:
         nrm = np.linalg.norm(arr, axis=1)
         worst = float(np.abs(nrm - 1.0).max())
-        if worst > 1e-9:
+        if worst > UNIT_NORM_TOL:
             raise ValueError(f"directions must be unit vectors (worst norm error {worst:g})")
     return arr
 

@@ -80,7 +80,7 @@ def cmd_approx(cfg: RunConfig) -> int:
     if cfg.cap_center is not None:
         if cfg.cap_radius is None:
             raise ValueError("--cap-center requires --cap-radius")
-        dirs = sample_near(plan, np.asarray(cfg.cap_center, dtype=float))
+        dirs = sample_near(plan, _unit_direction(cfg.cap_center))
     else:
         dirs = sample(plan)
     images = boundary_map.evaluate_batch_array(config, cfg.eps, dirs)
@@ -167,11 +167,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     config = _load_config(cfg)
     if cfg.direction is None:
         raise ValueError("classify requires --direction")
-    d = np.asarray(cfg.direction, dtype=float)
-    nrm = np.linalg.norm(d)
-    if nrm == 0:
-        raise ValueError("direction must be nonzero")
-    d = d / nrm
+    d = _unit_direction(cfg.direction)
     hull = build_hull(config, cfg.tol_coplanar)
     face = classify_direction(hull, d, cfg.tol_tie)
     kind = {0: "vertex", 1: "edge"}.get(face.dim, f"{face.dim}-face")
@@ -184,6 +180,15 @@ def cmd_classify(cfg: RunConfig) -> int:
             fh.write(f"face_id,{face.face_id}\ndim,{face.dim}\npoints,"
                      + " ".join(str(i) for i in face.vertex_indices) + "\n")
     return EXIT_OK
+
+
+def _unit_direction(components) -> np.ndarray:
+    """A direction given on the command line, scaled to unit length."""
+    d = np.asarray(components, dtype=float)
+    nrm = np.linalg.norm(d)
+    if not (np.isfinite(nrm) and nrm > 0):
+        raise ValueError("direction must be finite and nonzero")
+    return d / nrm
 
 
 def _parse_floats(text: str) -> tuple:

@@ -2,6 +2,13 @@
 and boundary queries.  Qhull proposes the facets, the configuration's own
 points fix them, and the face lattice is the closure of the facet point sets
 under intersection; in d >= 5 the face count, not n, sets the cost.
+
+Every face and boundary distance comes from one formula: for a face F and a
+point x, dist(x, F) = min |x - proj_aff(G)(x)| over the faces G of F (F
+included) whose projection passes the facet-slack test.  The nearest point of F
+lies in the relative interior of some face G, where it is the projection onto
+aff(G), and a projection that passes the test lies in G = K & aff(G).  Inside
+the hull the boundary distance is the smallest facet slack.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ class HullDescription:
         self.offsets = np.asarray([f.offset for f in facets])
         self._face_by_points = {frozenset(f.vertex_indices): f.face_id for f in faces}
         self._face_basis_cache = {}
-        self._facet_geometry_cache = None
 
     @property
     def dim(self) -> int:
@@ -128,9 +134,11 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
 
     Each simplex of Qhull's triangulated boundary (in d = 1, each point) is a
     candidate whose hyperplane is fitted, oriented outward and refitted over
-    all points within ``coplanarity_tol`` of it.  Raises
-    DegenerateConfigurationError if the points do not span R^d and
-    TooManyPointsError beyond n <= MAX_POINTS, d <= MAX_DIM.
+    all points within ``coplanarity_tol`` of it (default 1e-9 x diameter).
+    Raises DegenerateConfigurationError if the points do not span R^d,
+    TooManyPointsError beyond n <= MAX_POINTS, d <= MAX_DIM, and ValueError
+    for a given tolerance that is not finite or is below
+    ``16 * eps * max|coordinate|``.
     """
     if not is_nondegenerate(config):
         raise DegenerateConfigurationError(
@@ -141,7 +149,16 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
         raise TooManyPointsError(f"hull construction supports n <= {MAX_POINTS}, d <= {MAX_DIM}")
 
     pts = config.points
-    tol = coplanarity_tol if coplanarity_tol is not None else DEFAULT_TOL_REL * config.diameter
+    if coplanarity_tol is None:
+        tol = DEFAULT_TOL_REL * config.diameter
+    else:
+        # below a few ulp of the coordinates, rounding decides which points
+        # lie on a plane, and the facet sets come out wrong
+        tol = float(coplanarity_tol)
+        floor = 16 * np.finfo(float).eps * float(np.abs(pts).max())
+        if not (np.isfinite(tol) and tol >= floor):
+            raise ValueError(f"coplanarity tolerance {coplanarity_tol!r} must be finite and at "
+                             f"least {floor:.3g} (16 ulp of the largest |coordinate|)")
 
     proposals = np.arange(n)[:, None] if d == 1 else np.sort(ConvexHull(pts).simplices, axis=1)
     candidate_sets = set()
@@ -303,93 +320,65 @@ def in_normal_spherical_polytope(config: PointConfiguration, i: int, n, strict: 
     return bool(np.all(dots <= 0.0))
 
 
-def _in_hull(hull: HullDescription, q: np.ndarray) -> bool:
-    """Facet-slack membership; for q in aff(F) it decides q in F, as F = K & aff(F)."""
-    return bool(np.all(hull.offsets - hull.normals @ q >= -hull.coplanarity_tol))
+def _in_hull(hull: HullDescription, q: np.ndarray):
+    """Facet-slack membership of q, a point or rows of points; for q in aff(F)
+    it decides q in F = K & aff(F)."""
+    return np.all(hull.offsets - q @ hull.normals.T >= -hull.coplanarity_tol, axis=-1)
+
+
+def _projection(hull: HullDescription, face_id: int, pts: np.ndarray):
+    """Per row x: (|x - proj_aff(G)(x)|, whether the projection lies in G)."""
+    origin, basis = hull._face_basis(face_id)
+    q = origin + ((pts - origin) @ basis.T) @ basis
+    return np.linalg.norm(pts - q, axis=1), _in_hull(hull, q)
+
+
+def _faces_below(hull: HullDescription, face_id: int) -> set:
+    """Ids of the proper faces of a face, walking ``hull.children`` level by level."""
+    below, level = set(), set(hull.children[face_id])
+    while level:
+        below |= level
+        level = {kid for fid in level for kid in hull.children[fid]}
+    return below
+
+
+def distances_to_face(hull: HullDescription, face_id: int, points) -> np.ndarray:
+    """Vectorized distances from a batch of points to one face polytope F.
+
+    The nearest point of F to x is the projection of x onto aff(G), where G
+    is the face of F whose relative interior holds that point; and any
+    projection onto aff(G) that passes the facet-slack test lies in
+    G = K & aff(G), so in F.  Hence
+
+        dist(x, F) = min |x - proj_aff(G)(x)| over the faces G of F
+                     (F included) whose projection passes the slack test.
+
+    F is tried first: a point whose projection lands in F is finished, and
+    only the others are projected onto the faces below F.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dist, lands = _projection(hull, face_id, pts)
+    rest = np.flatnonzero(~lands)
+    if rest.size:
+        sub = pts[rest]
+        best = np.full(rest.size, np.inf)
+        for fid in _faces_below(hull, face_id):
+            d, lands = _projection(hull, fid, sub)
+            best[lands] = np.minimum(best[lands], d[lands])
+        dist[rest] = best
+    return dist
 
 
 def distance_to_face(hull: HullDescription, face_id: int, p) -> float:
-    """Euclidean distance from p to a face polytope.
-
-    Projects onto the face's affine hull and clamps into the face by
-    recursing over its subfaces when the projection lands outside.
-    """
-    p = np.asarray(p, dtype=float)
-    face = hull.faces[face_id]
-    if face.dim == 0:
-        return float(np.linalg.norm(p - hull.face_points(face_id)[0]))
-    origin, basis = hull._face_basis(face_id)
-    q = origin + basis.T @ (basis @ (p - origin))
-    if _in_hull(hull, q):
-        return float(np.linalg.norm(p - q))
-    return min(distance_to_face(hull, kid, p) for kid in hull.children[face_id])
+    """Euclidean distance from one point p to a face polytope."""
+    return float(distances_to_face(hull, face_id, p)[0])
 
 
 def boundary_distance(hull: HullDescription, p):
     """(distance to the hull boundary, face id of the nearest facet)."""
-    p = np.asarray(p, dtype=float)
-    best = np.inf
-    best_id = hull.facets[0].face_id
-    for facet in hull.facets:
-        dist = distance_to_face(hull, facet.face_id, p)
-        if dist < best:
-            best, best_id = dist, facet.face_id
-    return float(best), best_id
-
-
-def _ordered_polygon(hull: HullDescription, face_id: int):
-    """Vertices of a 2-d face cyclically ordered, with inward edge normals."""
-    verts = hull.face_extreme_points(face_id)
-    origin, basis = hull._face_basis(face_id)
-    local = (verts - origin) @ basis.T
-    center = local.mean(axis=0)
-    ang = np.arctan2(local[:, 1] - center[1], local[:, 0] - center[0])
-    order = np.argsort(ang)
-    verts = verts[order]
-    local = local[order]
-    k = verts.shape[0]
-    inward = np.empty((k, 2))
-    for e in range(k):
-        a, b = local[e], local[(e + 1) % k]
-        edge = b - a
-        nvec = np.array([-edge[1], edge[0]])
-        if np.dot(center - a, nvec) < 0:
-            nvec = -nvec
-        inward[e] = nvec / np.linalg.norm(nvec)
-    return verts, local, inward, (origin, basis)
-
-
-def _facet_geometry(hull: HullDescription):
-    if hull._facet_geometry_cache is not None:
-        return hull._facet_geometry_cache
-    geo = []
-    for facet in hull.facets:
-        face = hull.faces[facet.face_id]
-        if face.dim == 0:
-            geo.append(("point", hull.face_points(facet.face_id)[0]))
-        elif face.dim == 1:
-            pts = hull.face_points(facet.face_id)
-            axis = pts[-1] - pts[0]
-            t = pts @ axis
-            a = pts[int(np.argmin(t))]
-            b = pts[int(np.argmax(t))]
-            geo.append(("segment", (a, b)))
-        elif face.dim == 2:
-            verts, local, inward, frame = _ordered_polygon(hull, facet.face_id)
-            geo.append(("polygon", (facet.outward_normal, facet.offset,
-                                    verts, local, inward, frame)))
-        else:
-            geo.append(("general", facet.face_id))
-    hull._facet_geometry_cache = geo
-    return geo
-
-
-def _segment_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(pts - proj, axis=1)
+    dists = [distance_to_face(hull, facet.face_id, p) for facet in hull.facets]
+    k = int(np.argmin(dists))
+    return dists[k], hull.facets[k].face_id
 
 
 def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
@@ -398,8 +387,11 @@ def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
     A point with every facet slack ``offset - <outward_normal, x>`` at least
     0 lies in the hull, and its distance to the boundary is its smallest
     slack: the ball of that radius stays inside and touches the nearest facet
-    plane at a point of the hull.  Points outside are projected onto the
-    facets they violate.
+    plane at a point of the hull.  The nearest hull point p of an outside x
+    lies on a facet that x violates: x - p is a nonnegative combination of
+    the normals of the facets through p, and <x - p, x - p> > 0 makes one of
+    those facets' slacks at x negative.  So each outside point takes the
+    smallest :func:`distances_to_face` over the facets it violates.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     best = np.full(pts.shape[0], np.inf)
@@ -408,89 +400,11 @@ def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
         slack = facet.offset - pts @ facet.outward_normal
         violated.append(np.flatnonzero(slack < 0.0))
         best = np.minimum(best, slack)
-    out = best < 0.0
-    if np.any(out):
-        best[out] = _projected_distances(hull, pts, violated)[out]
+    best[best < 0.0] = np.inf
+    for facet, sel in zip(hull.facets, violated):
+        if sel.size:
+            best[sel] = np.minimum(best[sel], distances_to_face(hull, facet.face_id, pts[sel]))
     return best
-
-
-def _projected_distances(hull: HullDescription, points: np.ndarray, violated) -> np.ndarray:
-    """Boundary distances of points outside the hull by exact projection.
-
-    ``violated[f]`` indexes the points with negative slack on facet f.  The
-    nearest hull point p of an outside x lies on such a facet: x - p is a
-    nonnegative combination of the normals of the facets through p, and
-    <x - p, x - p> > 0 makes one of those facets' slacks at x negative.  So
-    each facet projects only the points it violates, and points violating no
-    facet get inf.  Closed-form segment/polygon projections serve facet
-    dimensions up to 2, the recursive scalar path the others.
-    """
-    best = np.full(points.shape[0], np.inf)
-    tol = hull.coplanarity_tol
-    for sel, (kind, data) in zip(violated, _facet_geometry(hull)):
-        if sel.size == 0:
-            continue
-        pts = points[sel]
-        if kind == "point":
-            dist = np.linalg.norm(pts - data[None, :], axis=1)
-        elif kind == "segment":
-            dist = _segment_distances(data[0], data[1], pts)
-        elif kind == "polygon":
-            normal, offset, verts, local, inward, (origin, basis) = data
-            h = pts @ normal - offset
-            plocal = (pts - origin) @ basis.T
-            inside = np.ones(pts.shape[0], dtype=bool)
-            for e in range(local.shape[0]):
-                inside &= (plocal - local[e]) @ inward[e] >= -tol
-            dist = np.full(pts.shape[0], np.inf)
-            dist[inside] = np.abs(h[inside])
-            out = ~inside
-            if np.any(out):
-                sub = pts[out]
-                dmin = np.full(sub.shape[0], np.inf)
-                k = verts.shape[0]
-                for e in range(k):
-                    dmin = np.minimum(dmin, _segment_distances(verts[e], verts[(e + 1) % k], sub))
-                dist[out] = dmin
-        else:
-            dist = np.asarray([distance_to_face(hull, data, p) for p in pts])
-        best[sel] = np.minimum(best[sel], dist)
-    return best
-
-
-def distances_to_face(hull: HullDescription, face_id: int, points) -> np.ndarray:
-    """Vectorized distances from a batch of points to one face polytope."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    face = hull.faces[face_id]
-    if face.dim == 0:
-        return np.linalg.norm(pts - hull.face_points(face_id)[0][None, :], axis=1)
-    if face.dim == 1:
-        fp = hull.face_points(face_id)
-        axis = fp[-1] - fp[0]
-        t = fp @ axis
-        a, b = fp[int(np.argmin(t))], fp[int(np.argmax(t))]
-        return _segment_distances(a, b, pts)
-    if face.dim == 2:
-        verts, local, inward, (origin, basis) = _ordered_polygon(hull, face_id)
-        normal_dists = np.linalg.norm(
-            pts - (origin + ((pts - origin) @ basis.T) @ basis), axis=1
-        )
-        plocal = (pts - origin) @ basis.T
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for e in range(local.shape[0]):
-            inside &= (plocal - local[e]) @ inward[e] >= -hull.coplanarity_tol
-        dist = np.empty(pts.shape[0])
-        dist[inside] = normal_dists[inside]
-        out = ~inside
-        if np.any(out):
-            sub = pts[out]
-            dmin = np.full(sub.shape[0], np.inf)
-            k = verts.shape[0]
-            for e in range(k):
-                dmin = np.minimum(dmin, _segment_distances(verts[e], verts[(e + 1) % k], sub))
-            dist[out] = dmin
-        return dist
-    return np.asarray([distance_to_face(hull, face_id, p) for p in pts])
 
 
 def minimal_face_containing(hull: HullDescription, x, tol: float | None = None):
@@ -520,7 +434,12 @@ def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.
         u = rng.random(count)
         return a[None, :] + u[:, None] * (b - a)[None, :]
     if face.dim == 2:
-        verts, _, _, _ = _ordered_polygon(hull, face_id)
+        # the vertices in cyclic order, fanned into triangles from the first
+        verts = hull.face_extreme_points(face_id)
+        origin, basis = hull._face_basis(face_id)
+        local = (verts - origin) @ basis.T
+        center = local.mean(axis=0)
+        verts = verts[np.argsort(np.arctan2(local[:, 1] - center[1], local[:, 0] - center[0]))]
         k = verts.shape[0]
         tris = [(verts[0], verts[e], verts[e + 1]) for e in range(1, k - 1)]
         areas = np.asarray([

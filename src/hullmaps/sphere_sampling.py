@@ -89,7 +89,10 @@ def _orthonormal_complement(center: np.ndarray) -> np.ndarray:
         for b in basis:
             w = w - np.dot(w, b) * b
         nrm = np.linalg.norm(w)
-        if nrm > 1e-6:
+        # w keeps about eps / nrm of rounding off the hyperplane, so a short
+        # residual would skew the cap directions off the unit sphere; any
+        # cut below 1/sqrt(d) still leaves enough axes to fill the basis
+        if nrm > 1e-3:
             basis.append(w / nrm)
         if len(basis) == d - 1:
             break

@@ -100,6 +100,15 @@ def test_batch_empty_and_singleton(triangle):
     assert np.array_equal(single[0].point, evaluate(triangle, 0.1, DIAG).point)
 
 
+def test_batch_unit_norm_tolerance(triangle):
+    """The batch path rejects a norm error of 1e-10 as the single path does."""
+    v = DIAG * (1.0 + 1e-10)
+    with pytest.raises(ValueError):
+        evaluate(triangle, 0.1, v)
+    with pytest.raises(ValueError):
+        evaluate_batch_array(triangle, 0.1, v[None, :])
+
+
 def test_batch_equals_sequential_exactly():
     rng = np.random.default_rng(23)
     cfg = build_configuration(rng.standard_normal((8, 3)))

@@ -222,3 +222,7 @@ def test_cap_center_sampling(tmp_path, cube_csv):
     images = read_points_csv(out)
     # images of a cap around the top facet normal stay near the top facet
     assert images[:, 2].min() > 0.5
+    # the center is scaled to unit length, as classify's --direction is
+    for center, expected in (("1,1,1", 0), ("0,0,0", 2), ("nan,0,1", 2)):
+        assert main(["approx", cube_csv, "--out", out, "--samples", "20",
+                     "--cap-center", center, "--cap-radius", "0.3"]) == expected

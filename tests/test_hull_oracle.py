@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hullmaps import (
     classify_directions_bulk,
     cli,
     distances_to_boundary,
+    distances_to_face,
     in_normal_spherical_polytope,
     minimal_face_containing,
     sample_boundary,
@@ -26,6 +28,8 @@ from hullmaps import (
 )
 from tests.brute_force_hull import assert_same_hull, brute_force_hull
 from tests.conftest import random_configuration
+from tests.recursive_distance import boundary_distance as recursive_boundary_distance
+from tests.recursive_distance import distance_to_face as recursive_distance_to_face
 
 DIAG = np.array([-1.0, -1.0]) / np.sqrt(2.0)
 
@@ -120,6 +124,23 @@ def test_unit_sphere_hull_at_point_limit():
     assert set(hull.vertices) == set(SciHull(pts).vertices.tolist())
     slack = hull.offsets[:, None] - hull.normals @ pts.T
     assert slack.min() >= -hull.coplanarity_tol
+
+
+def test_coplanarity_tolerance_floor(tmp_path):
+    cube = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+    path = tmp_path / "cube4.csv"
+    write_points_csv(path, cube)
+    for tol in ("0", "-1", "nan"):
+        args = ["hull", str(path), "--out", str(tmp_path / "hull.txt"), "--tol-coplanar", tol]
+        assert cli.main(args) == 2
+    cfg = build_configuration(3.7 * cube - 0.3)
+    floor = 16 * np.finfo(float).eps * np.abs(cfg.points).max()
+    with pytest.raises(ValueError, match="at least"):
+        build_hull(cfg, 0.99 * floor)
+    tol = 1.01 * floor
+    hull = build_hull(cfg, tol)
+    assert (len(hull.facets), len(hull.vertices)) == (8, 16)
+    assert_same_hull(hull, brute_force_hull(cfg, tol))
 
 
 @pytest.mark.xfail(strict=True, reason="facet sets nest when the noise is near the "
@@ -233,6 +254,15 @@ def test_boundary_distance_examples(square_hull, triangle_hull):
     assert d == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
 
 
+def _probe_points(rng, hull, n_inner, per_facet, n_outer):
+    """Interior (Dirichlet combinations), boundary-sample and outside points."""
+    pts = hull.config.points
+    inner = rng.dirichlet(np.full(pts.shape[0], 0.5), size=n_inner) @ pts
+    on_boundary, _ = sample_boundary(hull, per_facet, seed=int(rng.integers(1 << 30)))
+    outer = rng.standard_normal((n_outer, hull.dim)) * 2.0
+    return np.vstack([inner, on_boundary, outer])
+
+
 def test_vectorized_distances_match_scalar():
     rng = np.random.default_rng(33)
     for d in (2, 3):
@@ -240,20 +270,35 @@ def test_vectorized_distances_match_scalar():
         hull = build_hull(cfg)
         pts = rng.standard_normal((60, d)) * 1.5
         vec = distances_to_boundary(hull, pts)
-        scalar = np.array([boundary_distance(hull, p)[0] for p in pts])
+        scalar = np.array([recursive_boundary_distance(hull, p)[0] for p in pts])
         assert np.allclose(vec, scalar, atol=1e-9)
     # inside points take the smallest facet slack, boundary samples and
-    # outside points the projection; both must agree with the scalar path
-    for d, n in ((2, 20), (3, 12), (3, 20), (4, 8), (4, 12)):
+    # outside points the projection; both must agree with the recursion
+    for d, n in ((2, 20), (3, 12), (3, 20), (4, 8), (4, 12), (5, 8)):
         cfg = random_configuration(rng, n, d)
         hull = build_hull(cfg)
-        inner = rng.dirichlet(np.full(n, 0.5), size=40) @ cfg.points
-        on_boundary, _ = sample_boundary(hull, 2, seed=int(rng.integers(1 << 30)))
-        outer = rng.standard_normal((20, d)) * 2.0
-        pts = np.vstack([inner, on_boundary, outer])
+        # the recursion revisits sub-faces once per path: fewer points in d = 5
+        pts = _probe_points(rng, hull, *((12, 1, 8) if d == 5 else (40, 2, 20)))
         vec = distances_to_boundary(hull, pts)
-        scalar = np.array([boundary_distance(hull, p)[0] for p in pts])
+        scalar = np.array([recursive_boundary_distance(hull, p)[0] for p in pts])
         assert np.abs(vec - scalar).max() <= 1e-12 * hull.diameter
+
+
+def test_face_distances_match_recursive_oracle():
+    """Every face of dimension >= 1, the cube's squares and the 4-cube's cubes among them."""
+    rng = np.random.default_rng(34)
+    configs = [random_configuration(rng, n, d) for d, n in ((2, 8), (3, 10), (4, 9), (5, 8))]
+    configs += [build_configuration(list(itertools.product((-1.0, 1.0), repeat=d)))
+                for d in (3, 4)]
+    for cfg in configs:
+        hull = build_hull(cfg)
+        pts = _probe_points(rng, hull, 8, 1, 8)
+        for face in hull.faces:
+            if face.dim == 0:
+                continue
+            vec = distances_to_face(hull, face.face_id, pts)
+            scalar = np.array([recursive_distance_to_face(hull, face.face_id, p) for p in pts])
+            assert np.abs(vec - scalar).max() <= 1e-12 * hull.diameter
 
 
 def test_brute_force_distance_oracle(square_hull):
@@ -295,8 +340,6 @@ def test_sample_boundary_tetrahedron(tetrahedron_hull):
 def test_sample_face_points_on_edge(cube_hull):
     edge = [f for f in cube_hull.faces if f.dim == 1][0]
     pts = sample_face_points(cube_hull, edge.face_id, 50, seed=3)
-    from hullmaps import distances_to_face
-
     assert distances_to_face(cube_hull, edge.face_id, pts).max() < 1e-12
 
 

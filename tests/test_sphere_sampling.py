@@ -88,6 +88,20 @@ def test_cap_containment_generic_dim():
     assert np.array_equal(out, again)
 
 
+def test_cap_unit_norm_near_axis():
+    """Centers a few microradians off an axis or a coordinate plane, where an
+    axis residual is short, still give directions of norm 1 within 1e-12."""
+    for d in (3, 4, 5):
+        strategy = "fibonacci_3d" if d == 3 else "gaussian_random"
+        for head in ([1.0, 2e-6], [1.0, 1e-5], [0.6, 0.8, 2e-6]):
+            center = np.zeros(d)
+            center[:len(head)] = head
+            center /= np.linalg.norm(center)
+            plan = SamplePlan(dim=d, strategy=strategy, count=200, focus=CapFocus(1.0))
+            out = sample_near(plan, center)
+            assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
+
+
 def test_full_cap_reaches_everywhere():
     center = np.array([0.0, 0.0, 1.0])
     plan = SamplePlan(dim=3, strategy="fibonacci_3d", count=4000, focus=CapFocus(np.pi))
