@@ -31,6 +31,7 @@ from .errors import (
     NotOnBoundaryError,
     NumericalOverflowError,
     RequiresDegenerateError,
+    SamplingExhaustedError,
     StrategyDimensionMismatchError,
     TooManyPointsError,
 )

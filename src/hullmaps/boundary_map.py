@@ -68,7 +68,7 @@ def _as_dir_batch(config: PointConfiguration, dirs) -> np.ndarray:
     if arr.size:
         nrm = np.linalg.norm(arr, axis=1)
         worst = float(np.abs(nrm - 1.0).max())
-        if worst > UNIT_NORM_TOL:
+        if not worst <= UNIT_NORM_TOL:  # also rejects NaN rows
             raise ValueError(f"directions must be unit vectors (worst norm error {worst:g})")
     return arr
 

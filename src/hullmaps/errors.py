@@ -57,5 +57,9 @@ class EmptyProbeError(HullMapsError):
     """No probe directions survived the open-set membership filter."""
 
 
+class SamplingExhaustedError(HullMapsError):
+    """A rejection sampler used up its tries before collecting the requested count."""
+
+
 class RequiresDegenerateError(HullMapsError):
     """Operation only applies to degenerate (lower-dimensional) configurations."""

@@ -16,13 +16,14 @@ DEFAULT_RANK_TOL = 1e-9
 def unit_vector(coords, tol: float = UNIT_NORM_TOL) -> np.ndarray:
     """Validate and return a unit direction as a float vector.
 
-    Raises ValueError if the Euclidean norm differs from 1 by more than tol.
+    Raises ValueError if the Euclidean norm differs from 1 by more than tol
+    or is not finite.
     """
     v = np.ascontiguousarray(coords, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError("a direction must be a single coordinate vector")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
+    if not abs(nrm - 1.0) <= tol:  # also rejects a NaN norm
         raise ValueError(f"direction has norm {nrm!r}, not 1 within {tol}")
     return v
 

@@ -22,12 +22,14 @@ from .errors import (
     AmbiguousTieError,
     DegenerateConfigurationError,
     IndexOutOfRangeError,
+    SamplingExhaustedError,
     TooManyPointsError,
 )
 from .boundary_map import MAX_DIM, MAX_POINTS
 from .geom_core import PointConfiguration, is_nondegenerate, unit_vector
 
 DEFAULT_TOL_REL = 1e-9
+MAX_TRIES_PER_SAMPLE = 10_000  # rejection-sampling budget per requested sample
 
 
 @dataclass(frozen=True)
@@ -374,11 +376,16 @@ def distance_to_face(hull: HullDescription, face_id: int, p) -> float:
     return float(distances_to_face(hull, face_id, p)[0])
 
 
+def _facet_distances(hull: HullDescription, p) -> np.ndarray:
+    """Distances from one point p to every facet polytope, in ``hull.facets`` order."""
+    return np.array([distance_to_face(hull, facet.face_id, p) for facet in hull.facets])
+
+
 def boundary_distance(hull: HullDescription, p):
     """(distance to the hull boundary, face id of the nearest facet)."""
-    dists = [distance_to_face(hull, facet.face_id, p) for facet in hull.facets]
+    dists = _facet_distances(hull, p)
     k = int(np.argmin(dists))
-    return dists[k], hull.facets[k].face_id
+    return float(dists[k]), hull.facets[k].face_id
 
 
 def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
@@ -412,7 +419,12 @@ def minimal_face_containing(hull: HullDescription, x, tol: float | None = None):
     x = np.asarray(x, dtype=float)
     if tol is None:
         tol = 1e-7 * (1.0 + hull.diameter)
-    member = [f for f in hull.facets if distance_to_face(hull, f.face_id, x) <= tol]
+    return _face_within(hull, _facet_distances(hull, x), tol)
+
+
+def _face_within(hull: HullDescription, facet_dists: np.ndarray, tol: float):
+    """The face cut out by the facets within tol of a point, or None if none is."""
+    member = [f for f, dist in zip(hull.facets, facet_dists) if dist <= tol]
     if not member:
         return None
     inter = frozenset(member[0].vertex_indices)
@@ -465,8 +477,12 @@ def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.
     local = (verts - origin) @ basis.T
     lo, hi = local.min(axis=0), local.max(axis=0)
     out = np.empty((count, hull.dim))
-    filled = 0
+    filled = tries = 0
     while filled < count:
+        if tries == MAX_TRIES_PER_SAMPLE * count:
+            raise SamplingExhaustedError(
+                f"face {face_id}: {filled} of {count} samples after {tries} tries")
+        tries += 1
         cand = lo + (hi - lo) * rng.random(face.dim)
         q = origin + basis.T @ cand
         if _in_hull(hull, q):

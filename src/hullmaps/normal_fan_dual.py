@@ -19,10 +19,10 @@ from .geom_core import build_configuration, unit_vector
 from .hull_oracle import (
     Face,
     HullDescription,
-    boundary_distance,
+    _face_within,
+    _facet_distances,
     build_hull,
     classify_direction,
-    minimal_face_containing,
 )
 
 FLATTEN_PLANARITY_TOL = 1e-7
@@ -124,10 +124,11 @@ def gauss_map(hull: HullDescription, x, tol: float | None = None) -> GaussValue:
     x = np.asarray(x, dtype=float)
     if tol is None:
         tol = 1e-7 * (1.0 + hull.diameter)
-    dist, _ = boundary_distance(hull, x)
+    dists = _facet_distances(hull, x)
+    dist = float(dists.min())
     if dist > tol:
         raise NotOnBoundaryError(f"point is {dist:g} away from the boundary")
-    face = minimal_face_containing(hull, x, tol)
+    face = _face_within(hull, dists, tol)
     return GaussValue(face_id=face.face_id, face_dim=face.dim,
                       cell_dirs=_incident_normals(hull, face))
 

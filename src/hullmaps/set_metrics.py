@@ -19,9 +19,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .boundary_map import evaluate_batch_array
-from .errors import EmptyProbeError, EmptySetError, RequiresDegenerateError
+from .errors import (
+    EmptyProbeError,
+    EmptySetError,
+    RequiresDegenerateError,
+    SamplingExhaustedError,
+)
 from .geom_core import PointConfiguration, build_configuration, is_nondegenerate
 from .hull_oracle import (
+    MAX_TRIES_PER_SAMPLE,
     HullDescription,
     build_hull,
     classify_directions_bulk,
@@ -207,10 +213,6 @@ def cap_directions(dim: int, center: np.ndarray, eps: float, cap_radius: float,
     return np.vstack(chunks)
 
 
-def _slerp(a: np.ndarray, b: np.ndarray, angle: float, t: float) -> np.ndarray:
-    return (np.sin((1.0 - t) * angle) * a + np.sin(t * angle) * b) / np.sin(angle)
-
-
 def _geometric_tau_offsets(eps: float, base_factor: float, max_factor: float,
                            ratio: float) -> list:
     taus = [0.0]
@@ -252,6 +254,14 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
     point set: at finite eps, directions eps-close to a facet normal map
     near that facet, so a face-limit probe must not approach the normals of
     outside facets.
+
+    Rows come per edge, arc positions in increasing order, and per position
+    the transverse offsets tau in ``_geometric_tau_offsets`` order.  Each
+    edge's tube is expanded array-wise: the sines and cosines are taken one
+    scalar at a time and the dots and norms one row at a time, as in a
+    per-tau loop, and every other step is an elementwise broadcast, so the
+    result is bitwise equal to the per-tau form.  A row-blocked ``P @ nb``
+    or ``norm(axis=1)`` would change the last bits.
     """
     if hull.dim != 3:
         return np.empty((0, hull.dim))
@@ -262,6 +272,8 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
         edges = [e for e in edges if e.face_id in wanted]
 
     taus = _geometric_tau_offsets(eps, tau_base_factor, tau_max_factor, tau_ratio)
+    cos_tau = np.array([np.cos(tau) for tau in taus])[:, None]
+    sin_tau = np.array([np.sin(tau) for tau in taus])[:, None]
     out = []
     for edge in edges:
         if len(edge.incident_facets) != 2:
@@ -286,19 +298,20 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
         if not positions:
             # neither endpoint usable: keep to the middle of the arc
             positions = {angle * f for f in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)}
-        for sig in sorted(positions):
-            p = _slerp(na, nb, angle, sig / angle)
-            tangent = nb - np.dot(nb, p) * p
-            tn = np.linalg.norm(tangent)
-            if tn < 1e-12:
-                continue
-            tangent /= tn
-            trans = np.cross(p, tangent)
-            for tau in taus:
-                out.append(np.cos(tau) * p + np.sin(tau) * trans)
+        ts = [sig / angle for sig in sorted(positions)]
+        sin_a = np.array([np.sin((1.0 - t) * angle) for t in ts])[:, None]
+        sin_b = np.array([np.sin(t * angle) for t in ts])[:, None]
+        p = (sin_a * na + sin_b * nb) / np.sin(angle)  # slerp from na to nb
+        tangent = nb - np.array([np.dot(nb, row) for row in p])[:, None] * p
+        tn = np.array([np.linalg.norm(row) for row in tangent])
+        keep = tn >= 1e-12
+        p = p[keep]
+        tangent = tangent[keep] / tn[keep, None]
+        trans = np.cross(p, tangent)
+        out.append((cos_tau * p[:, None, :] + sin_tau * trans[:, None, :]).reshape(-1, 3))
     if not out:
         return np.empty((0, hull.dim))
-    return np.asarray(out)
+    return np.concatenate(out)
 
 
 def theorem_sweep(config: PointConfiguration, hull: HullDescription, epsilons,
@@ -475,7 +488,12 @@ class _SpanHull:
             lo = self.local.min(axis=0)
             hi = self.local.max(axis=0)
             out = []
+            tries = 0
             while len(out) < count:
+                if tries == MAX_TRIES_PER_SAMPLE * count:
+                    raise SamplingExhaustedError(
+                        f"{len(out)} of {count} body samples after {tries} tries")
+                tries += 1
                 cand = lo + (hi - lo) * rng.random(self.k)
                 if self.distances_to_body((self.mean + cand @ self.span)[None, :])[0] < 1e-9:
                     out.append(cand)

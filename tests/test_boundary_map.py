@@ -14,6 +14,7 @@ from hullmaps import (
     evaluate_batch_array,
     limit_factor,
     weights,
+    weights_batch_array,
 )
 from tests.conftest import random_configuration
 
@@ -107,6 +108,19 @@ def test_batch_unit_norm_tolerance(triangle):
         evaluate(triangle, 0.1, v)
     with pytest.raises(ValueError):
         evaluate_batch_array(triangle, 0.1, v[None, :])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_directions_rejected(triangle, bad):
+    """A NaN or infinite component fails the unit-norm check on every path."""
+    v = np.array([bad, 0.0])
+    for single in (evaluate, weights):
+        with pytest.raises(ValueError):
+            single(triangle, 0.1, v)
+    batch = np.vstack([v, DIAG])  # a valid row beside the bad one
+    for batched in (evaluate_batch_array, weights_batch_array):
+        with pytest.raises(ValueError):
+            batched(triangle, 0.1, batch)
 
 
 def test_batch_equals_sequential_exactly():

@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull as SciHull
 from hullmaps import (
     AmbiguousTieError,
     DegenerateConfigurationError,
+    SamplingExhaustedError,
     TooManyPointsError,
     boundary_distance,
     build_configuration,
@@ -335,6 +336,21 @@ def test_sample_boundary_tetrahedron(tetrahedron_hull):
     pts, ids = sample_boundary(tetrahedron_hull, per_facet=10, seed=2)
     assert pts.shape == (40, 3)
     assert distances_to_boundary(tetrahedron_hull, pts).max() < 1e-12
+
+
+def test_face_rejection_sampler_is_bounded(monkeypatch):
+    """The 4-cube's facets are non-simplicial 3-faces, sampled by rejection; a
+    test that accepts nothing raises a typed error instead of looping on."""
+    from hullmaps import hull_oracle
+
+    hull = build_hull(build_configuration(list(itertools.product((-1.0, 1.0), repeat=4))))
+    facet = hull.facets[0]
+    assert len(facet.vertex_indices) == 8
+    pts = sample_face_points(hull, facet.face_id, 3, seed=0)
+    assert np.all(np.abs(pts @ facet.outward_normal - facet.offset) < 1e-12)
+    monkeypatch.setattr(hull_oracle, "_in_hull", lambda hull, q: False)
+    with pytest.raises(SamplingExhaustedError):
+        sample_face_points(hull, facet.face_id, 3, seed=0)
 
 
 def test_sample_face_points_on_edge(cube_hull):

@@ -4,6 +4,7 @@ import pytest
 from hullmaps import (
     DimensionUnsupportedError,
     NotOnBoundaryError,
+    boundary_distance,
     build_configuration,
     build_hull,
     classify_direction,
@@ -11,8 +12,10 @@ from hullmaps import (
     flattened_spherical_dual,
     gauss_map,
     inverse_gauss,
+    minimal_face_containing,
     normal_fan,
     outer_normal_transform,
+    sample_boundary,
     sample_face_points,
     spherical_dual,
     w_set_contains,
@@ -98,6 +101,33 @@ def test_gauss_map_facet_centroid(tetrahedron_hull):
 def test_gauss_map_rejects_off_boundary(square_hull):
     with pytest.raises(NotOnBoundaryError):
         gauss_map(square_hull, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("d, n, seed", [(3, 12, 0), (3, 40, 0), (4, 9, 1), (4, 11, 2)])
+def test_gauss_map_matches_one_point_queries(monkeypatch, d, n, seed):
+    """gauss_map equals boundary_distance + minimal_face_containing, and measures
+    each facet distance once."""
+    from hullmaps import hull_oracle
+
+    hull = build_hull(random_configuration(np.random.default_rng(seed), n, d))
+    pts, _ = sample_boundary(hull, 2, seed=seed)
+    tol = 1e-7 * (1.0 + hull.diameter)
+    by_id = {f.face_id: f for f in hull.facets}
+    expected = []
+    for x in pts:
+        assert boundary_distance(hull, x)[0] <= tol
+        face = minimal_face_containing(hull, x, tol)
+        expected.append((face.face_id, face.dim, np.asarray(
+            [by_id[fid].outward_normal for fid in face.incident_facets]).tobytes()))
+
+    calls = []
+    face_distance = hull_oracle.distance_to_face
+    monkeypatch.setattr(hull_oracle, "distance_to_face",
+                        lambda *args: calls.append(1) or face_distance(*args))
+    for x, want in zip(pts, expected):
+        g = gauss_map(hull, x)
+        assert (g.face_id, g.face_dim, g.cell_dirs.tobytes()) == want
+    assert len(calls) == len(pts) * len(hull.facets)
 
 
 def test_gauss_inverse_duality(cube_hull):

@@ -7,6 +7,7 @@ from hullmaps import (
     EmptySetError,
     RequiresDegenerateError,
     SamplePlan,
+    SamplingExhaustedError,
     arctan_family,
     build_configuration,
     build_hull,
@@ -171,6 +172,21 @@ def test_degenerate_probe_coplanar():
     rep = degenerate_limit_probe(cfg, [1e-1, 1e-2, 1e-3], plan)
     assert rep.span_dim == 2
     assert rep.records[-1].sym_dist < 0.05 * rep.extent
+
+
+def test_span_body_rejection_sampler_is_bounded(monkeypatch):
+    """A 3-cube inside R^4 spans k = 3, sampled by rejection; a test that
+    accepts nothing raises a typed error instead of looping on."""
+    from hullmaps.set_metrics import _SpanHull
+
+    cube = [[x, y, z, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
+    span = _SpanHull(build_configuration(cube))
+    assert span.k == 3
+    body = span.sample_body(5, seed=0)
+    assert np.all(np.abs(body) <= 1.0 + 1e-12)
+    monkeypatch.setattr(_SpanHull, "distances_to_body", lambda self, pts: np.ones(len(pts)))
+    with pytest.raises(SamplingExhaustedError):
+        span.sample_body(5, seed=0)
 
 
 def test_degenerate_probe_guard(triangle):
