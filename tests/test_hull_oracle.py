@@ -340,7 +340,8 @@ def test_sample_boundary_tetrahedron(tetrahedron_hull):
 
 def test_face_rejection_sampler_is_bounded(monkeypatch):
     """The 4-cube's facets are non-simplicial 3-faces, sampled by rejection; a
-    test that accepts nothing raises a typed error instead of looping on."""
+    membership check that rejects everything raises a typed error instead
+    of looping on."""
     from hullmaps import hull_oracle
 
     hull = build_hull(build_configuration(list(itertools.product((-1.0, 1.0), repeat=4))))

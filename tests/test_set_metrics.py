@@ -175,8 +175,8 @@ def test_degenerate_probe_coplanar():
 
 
 def test_span_body_rejection_sampler_is_bounded(monkeypatch):
-    """A 3-cube inside R^4 spans k = 3, sampled by rejection; a test that
-    accepts nothing raises a typed error instead of looping on."""
+    """A 3-cube inside R^4 spans k = 3, sampled by rejection; a membership
+    check that rejects everything raises a typed error instead of looping on."""
     from hullmaps.set_metrics import _SpanHull
 
     cube = [[x, y, z, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
