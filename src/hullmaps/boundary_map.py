@@ -6,14 +6,26 @@ products of these factors, and the map value is the weighted point average.
 Products are formed in the log domain so that moderate n stays well clear of
 underflow.
 
-Every public evaluator runs one NumPy kernel, :func:`_eval_batch`.  Each of
-its array operations is row-independent and sums in a fixed order, so a
-direction's result does not depend on the batch it came in or on how the
-batch is chunked.
+Every public evaluator runs one NumPy kernel, :func:`_eval_batch`.  It fills
+``log_c`` in tiles of at most ``_CHUNK_BUDGET`` floats of (k, i, j) buffer:
+runs of whole direction rows while ``n*n`` fits, otherwise one direction and
+a slice of i rows.  The batch's directions are cut into one run per CPU in
+the process's affinity mask, and a thread pool, started by the first batch
+of more than one run, fills each run's rows of ``log_c``; a batch of one run
+(every one-direction call among them) stays on the calling thread.  The
+normalization and the image sum then run once over the whole batch.
+
+Each array operation is independent per ``(k, i)`` row and sums in a fixed
+order: the dots add coordinate by coordinate, and each log row is summed
+whole.  So a direction's result does not depend on the batch it came in, on
+how the batch is cut into tiles and runs, or on the number of workers.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +35,39 @@ from .geom_core import UNIT_NORM_TOL, PointConfiguration, unit_vector
 
 MAX_POINTS = 1000
 MAX_DIM = 6
-_CHUNK_BUDGET = 65_536  # floats per (chunk, n, n) buffer; both buffers fit in a 2 MiB L2
+_CHUNK_BUDGET = 65_536  # floats per tile buffer; a run's two buffers fit in a 2 MiB L2
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = _cpu_count()  # kernel runs per batch: one per CPU the process may use
+_pool = None  # started by the first batch of more than one run
+_pool_lock = threading.Lock()
+
+
+def _kernel_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="hullmaps-kernel")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object, and perhaps a held lock, but
+    # none of the threads
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -73,44 +117,74 @@ def _as_dir_batch(config: PointConfiguration, dirs) -> np.ndarray:
     return arr
 
 
+def _tile_shape(n: int) -> tuple[int, int]:
+    """(directions, i rows) of one tile: whole direction rows while n*n fits the budget."""
+    if n * n <= _CHUNK_BUDGET:
+        return _CHUNK_BUDGET // (n * n), n
+    return 1, max(1, _CHUNK_BUDGET // n)
+
+
+def _fill_log_c(planes, eps, dirs, log_c, k0, k1, dots_buf, term_buf):
+    """Fill ``log_c[k0:k1]`` tile by tile, in this run's own pair of tile buffers."""
+    d, n, _ = planes.shape
+    rows, height = _tile_shape(n)
+    for ka in range(k0, k1, rows):
+        kb = min(ka + rows, k1)
+        block = dirs[ka:kb]
+        for i0 in range(0, n, height):
+            m, h = kb - ka, min(height, n - i0)
+            dots = dots_buf[:m * h * n].reshape(m, h, n)
+            term = term_buf[:m * h * n].reshape(m, h, n)
+            np.multiply(block[:, 0, None, None], planes[0, i0:i0 + h], out=dots)
+            for c in range(1, d):
+                np.multiply(block[:, c, None, None], planes[c, i0:i0 + h], out=term)
+                dots += term
+            # eps - min(0, dot) is exactly eps + max(0, -dot)
+            np.minimum(dots, 0.0, out=dots)
+            np.subtract(eps, dots, out=dots)
+            dots.reshape(m, -1)[:, i0::n + 1] = 1.0  # log(1) = 0 stands in for j = i
+            np.log(dots, out=dots)
+            np.sum(dots, axis=2, out=log_c[ka:kb, i0:i0 + h])
+
+
+def _log_c(planes, eps, dirs):
+    """``log_c`` of a batch, filled run by run; several runs go to the kernel pool."""
+    n = planes.shape[1]
+    nb = dirs.shape[0]
+    log_c = np.empty((nb, n))
+    rows, height = _tile_shape(n)
+    runs = max(1, min(_WORKERS, -(-nb // rows)))
+    cuts = [nb * r // runs for r in range(runs + 1)]
+    # allocated on the calling thread: a tile buffer freed by a worker would
+    # stay resident in that thread's malloc arena
+    bufs = np.empty((runs, 2, min(rows, -(-nb // runs)) * height * n))
+    if runs == 1:
+        _fill_log_c(planes, eps, dirs, log_c, 0, nb, *bufs[0])
+    else:
+        jobs = [_kernel_pool().submit(_fill_log_c, planes, eps, dirs, log_c, a, b, *buf)
+                for a, b, buf in zip(cuts, cuts[1:], bufs)]
+        for job in jobs:
+            job.result()
+    return log_c
+
+
 def _eval_batch(points, pair_dirs, eps, dirs):
     """(lambdas, log_c, images) for a batch of unit directions.
 
     ``log_c[k, i]`` sums ``log(eps + max(0, -<dirs[k], pair_dirs[i, j]>))``
     over ``j != i``.  The dots accumulate coordinate by coordinate, never
     through a matrix product, whose blocking would make a row's rounding
-    depend on the batch size.
+    depend on the batch size.  The directions are cut into at most
+    ``_WORKERS`` runs of whole tiles, which fill disjoint rows of ``log_c``;
+    the tile buffers are released before the weights are formed.
     """
     n, d = points.shape
-    nb = dirs.shape[0]
     planes = np.ascontiguousarray(np.moveaxis(pair_dirs, 2, 0))  # (d, n, n)
-    lambdas = np.empty((nb, n))
-    log_c = np.empty((nb, n))
-    images = np.zeros((nb, d))
-
-    chunk = max(1, _CHUNK_BUDGET // (n * n))
-    dots_buf = np.empty((min(chunk, nb), n, n))
-    term_buf = np.empty_like(dots_buf)
-    for start in range(0, nb, chunk):
-        sl = slice(start, min(start + chunk, nb))
-        block = dirs[sl]
-        dots = dots_buf[:block.shape[0]]
-        term = term_buf[:block.shape[0]]
-        np.multiply(block[:, 0, None, None], planes[0], out=dots)
-        for c in range(1, d):
-            np.multiply(block[:, c, None, None], planes[c], out=term)
-            dots += term
-        # eps - min(0, dot) is exactly eps + max(0, -dot)
-        np.minimum(dots, 0.0, out=dots)
-        np.subtract(eps, dots, out=dots)
-        dots.reshape(-1, n * n)[:, ::n + 1] = 1.0  # log(1) = 0 stands in for j = i
-        np.log(dots, out=dots)
-        lc = log_c[sl]
-        np.sum(dots, axis=2, out=lc)
-        lam = lambdas[sl]
-        np.subtract(lc, lc.max(axis=1)[:, None], out=lam)
-        np.exp(lam, out=lam)
-        lam /= lam.sum(axis=1)[:, None]
+    log_c = _log_c(planes, eps, dirs)
+    lambdas = log_c - log_c.max(axis=1)[:, None]
+    np.exp(lambdas, out=lambdas)
+    lambdas /= lambdas.sum(axis=1)[:, None]
+    images = np.zeros((dirs.shape[0], d))
     for i in range(n):
         images += lambdas[:, i, None] * points[i]
     return lambdas, log_c, images

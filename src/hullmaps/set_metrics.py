@@ -511,6 +511,8 @@ def degenerate_limit_probe(config: PointConfiguration, epsilons, plan: SamplePla
     the affine span, so cap ladders around the span's normal directions are
     added.
     """
+    if body_samples < 1:
+        raise ValueError(f"body_samples: count must be >= 1, got {body_samples!r}")
     if is_nondegenerate(config):
         raise RequiresDegenerateError("configuration spans R^d; use theorem_sweep instead")
     eps_list = _validate_epsilons(epsilons)

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StrategyDimensionMismatchError
+from .errors import SamplingExhaustedError, StrategyDimensionMismatchError
 from .geom_core import unit_vector
+from .hull_oracle import MAX_TRIES_PER_SAMPLE
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -140,8 +141,11 @@ def sample_near(plan: SamplePlan, center) -> np.ndarray:
     sin_peak = math.sin(min(r, math.pi / 2.0)) ** dm2
     out = np.empty((count, plan.dim))
     out[0] = c
-    k = 1
+    k, tries = 1, 0
     while k < count:
+        if tries == MAX_TRIES_PER_SAMPLE * count:
+            raise SamplingExhaustedError(f"cap: {k} of {count} samples after {tries} tries")
+        tries += 1
         theta = rng.uniform(0.0, r)
         if rng.uniform(0.0, sin_peak) > math.sin(theta) ** dm2:
             continue

@@ -1,12 +1,22 @@
 """Accuracy and determinism contracts for the batch weight kernel."""
 
+import multiprocessing
+import os
+import queue
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullmaps import build_configuration, c_factor, evaluate, evaluate_batch_array
+from hullmaps import boundary_map, build_configuration, c_factor, evaluate, evaluate_batch_array
 from hullmaps.boundary_map import _eval_batch
+from tests.serial_kernel import _eval_batch as serial_eval_batch
 
 
 @pytest.fixture
@@ -99,3 +109,126 @@ def test_fallback_chunking_consistent(medium_config, dirs_batch, monkeypatch):
     tiny = _eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
     for a, b in zip(ref, tiny):
         assert np.array_equal(a, b)
+
+
+def _assert_matches_serial(cfg, eps, dirs):
+    got = _eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
+    want = serial_eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_points,dim,count", [
+    (2, 1, 40), (8, 3, 700), (24, 3, 500), (200, 6, 9), (1000, 3, 5),
+])
+def test_tiled_kernel_matches_serial_bitwise(n_points, dim, count):
+    rng = np.random.default_rng(7 * n_points + dim)
+    cfg = build_configuration(rng.standard_normal((n_points, dim)))
+    dirs = _unit_rows(rng, count, dim)
+    for eps in (1e-8, 1e-4, 1e-2, 1.0):
+        _assert_matches_serial(cfg, eps, dirs)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_worker_count_does_not_change_output(medium_config, dirs_batch, workers, monkeypatch):
+    monkeypatch.setattr(boundary_map, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_matches_serial(medium_config, 1e-3, dirs_batch)
+        big = build_configuration(np.random.default_rng(5).standard_normal((300, 4)))
+        _assert_matches_serial(big, 1e-3, _unit_rows(np.random.default_rng(6), 4, 4))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_callers_share_one_pool(medium_config, dirs_batch, monkeypatch):
+    """Callers racing to start the pool start one pool and get bitwise results."""
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(boundary_map, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(boundary_map, "_WORKERS", 3)
+    monkeypatch.setattr(boundary_map, "_pool", None)
+    cfg = medium_config
+    want = serial_eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
+    got = [None] * 4
+
+    def call(slot):
+        got[slot] = _eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
+
+    callers = [threading.Thread(target=call, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in started:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in callers)
+    assert len(started) == 1
+    for result in got:
+        for a, b in zip(result, want):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("budget", [24 * 5, 7])
+def test_row_sliced_tiles_match_serial(medium_config, dirs_batch, budget, monkeypatch):
+    """Past the budget a tile is one direction and a slice of i rows."""
+    monkeypatch.setattr(boundary_map, "_CHUNK_BUDGET", budget)
+    rows, height = boundary_map._tile_shape(24)
+    assert rows == 1 and height < 24
+    _assert_matches_serial(medium_config, 1e-3, dirs_batch[:60])
+
+
+def _kernel_in_child(results, points, pair_dirs, dirs):
+    results.put(_eval_batch(points, pair_dirs, 1e-3, dirs))
+
+
+def test_forked_child_starts_its_own_pool(medium_config, dirs_batch, monkeypatch):
+    """A fork after the pool started must not wait on the parent's threads."""
+    monkeypatch.setattr(boundary_map, "_WORKERS", 2)
+    cfg = medium_config
+    want = _eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
+    assert boundary_map._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_kernel_in_child,
+                        args=(results, cfg.points, cfg.pairwise_dirs, dirs_batch))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    except queue.Empty:
+        pytest.fail("forked child did not finish the kernel within 60 s")
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_import_and_single_direction_start_no_threads():
+    probe = (
+        "import threading, numpy as np, hullmaps\n"
+        "from hullmaps import boundary_map\n"
+        "before = threading.active_count()\n"
+        "cfg = hullmaps.build_configuration(np.random.default_rng(0).standard_normal((1000, 3)))\n"
+        "hullmaps.evaluate(cfg, 1e-3, [0.0, 0.6, 0.8])\n"
+        "hullmaps.weights(cfg, 1e-3, [0.0, 0.8, 0.6])\n"
+        "print(before, threading.active_count(), boundary_map._pool is None)\n"
+    )
+    src = str(Path(boundary_map.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.split() == ["1", "1", "True"]

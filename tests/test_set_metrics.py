@@ -189,6 +189,18 @@ def test_span_body_rejection_sampler_is_bounded(monkeypatch):
         span.sample_body(5, seed=0)
 
 
+@pytest.mark.parametrize("points,dim", [
+    ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], 3),
+    ([[x, y, z, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)], 4),
+])
+@pytest.mark.parametrize("body_samples", [0, -3])
+def test_degenerate_probe_rejects_empty_body_sample(points, dim, body_samples):
+    cfg = build_configuration(points)
+    plan = SamplePlan(dim=dim, strategy="gaussian_random", count=50, seed=2)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        degenerate_limit_probe(cfg, [1e-2], plan, body_samples=body_samples)
+
+
 def test_degenerate_probe_guard(triangle):
     plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=100)
     with pytest.raises(RequiresDegenerateError):

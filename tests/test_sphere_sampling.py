@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hullmaps import SamplePlan, CapFocus, StrategyDimensionMismatchError, sample, sample_near
+from hullmaps import (
+    CapFocus,
+    SamplePlan,
+    SamplingExhaustedError,
+    StrategyDimensionMismatchError,
+    sample,
+    sample_near,
+)
+from hullmaps import sphere_sampling
 
 
 def test_uniform_grid_angles():
@@ -86,6 +94,29 @@ def test_cap_containment_generic_dim():
     assert np.all(out @ center >= np.cos(0.2) - 1e-12)
     again = sample_near(plan, center)
     assert np.array_equal(out, again)
+
+
+def test_generic_cap_rejection_sampler_is_bounded(monkeypatch):
+    """In d >= 4 the cap is filled by rejection; a generator whose every
+    transverse draw is rejected raises a typed error instead of looping on."""
+    center = np.eye(5)[0]
+    plan = SamplePlan(dim=5, strategy="gaussian_random", count=3, seed=1, focus=CapFocus(0.3))
+    assert sample_near(plan, center).shape == (3, 5)
+    numpy_rng = np.random.default_rng
+
+    class ZeroNormalRng:
+        def __init__(self, seed):
+            self._rng = numpy_rng(seed)
+
+        def uniform(self, low, high):
+            return self._rng.uniform(low, high)
+
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(sphere_sampling.np.random, "default_rng", ZeroNormalRng)
+    with pytest.raises(SamplingExhaustedError, match="1 of 3 samples after 30000 tries"):
+        sample_near(plan, center)
 
 
 def test_cap_unit_norm_near_axis():
