@@ -155,8 +155,8 @@ def _log_c(planes, eps, dirs):
     rows, height = _tile_shape(n)
     runs = max(1, min(_WORKERS, -(-nb // rows)))
     cuts = [nb * r // runs for r in range(runs + 1)]
-    # allocated on the calling thread: a tile buffer freed by a worker would
-    # stay resident in that thread's malloc arena
+    # one allocation on the calling thread, freed on return before the weights
+    # exist; buffers made and kept by the workers raised the sweep's peak RSS
     bufs = np.empty((runs, 2, min(rows, -(-nb // runs)) * height * n))
     if runs == 1:
         _fill_log_c(planes, eps, dirs, log_c, 0, nb, *bufs[0])
