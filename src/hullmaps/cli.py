@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .geom_core import build_configuration, read_points_csv
 from .hull_oracle import build_hull, classify_direction
-from .sphere_sampling import CapFocus, SamplePlan, sample, sample_near
+from .sphere_sampling import CapFocus, SamplePlan, default_strategy, sample, sample_near
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,66 +34,39 @@ EXIT_IO = 4
 EXIT_NUMERIC = 5
 
 
-@dataclass
-class RunConfig:
-    """Parsed command request: input/output paths, sweep and plan parameters."""
-
-    subcommand: str
-    input_path: str
-    out: str
-    eps: float = 1e-2
-    eps_list: tuple = ()
-    samples: int = 2000
-    strategy: str | None = None
-    seed: int = 0
-    cap_center: tuple | None = None
-    cap_radius: float | None = None
-    render: str = "none"
-    boundary_per_facet: int = 200
-    degenerate: bool = False
-    direction: tuple | None = None
-    tol_distinct: float | None = None
-    tol_coplanar: float | None = None
-    tol_tie: float | None = None
+def _make_plan(args: argparse.Namespace, dim: int) -> SamplePlan:
+    cap_radius = getattr(args, "cap_radius", None)  # approx only
+    focus = CapFocus(cap_radius=cap_radius) if cap_radius else None
+    return SamplePlan(dim=dim, strategy=args.strategy or default_strategy(dim),
+                      count=args.samples, seed=args.seed, focus=focus)
 
 
-def _default_strategy(dim: int) -> str:
-    return {2: "uniform_grid_2d", 3: "fibonacci_3d"}.get(dim, "gaussian_random")
+def _load_config(args: argparse.Namespace):
+    pts = read_points_csv(args.input)
+    return build_configuration(pts, args.tol_distinct)
 
 
-def _make_plan(cfg: RunConfig, dim: int) -> SamplePlan:
-    strategy = cfg.strategy or _default_strategy(dim)
-    focus = CapFocus(cap_radius=cfg.cap_radius) if cfg.cap_radius else None
-    return SamplePlan(dim=dim, strategy=strategy, count=cfg.samples,
-                      seed=cfg.seed, focus=focus)
-
-
-def _load_config(cfg: RunConfig):
-    pts = read_points_csv(cfg.input_path)
-    return build_configuration(pts, cfg.tol_distinct)
-
-
-def cmd_approx(cfg: RunConfig) -> int:
-    config = _load_config(cfg)
-    plan = _make_plan(cfg, config.dim)
-    if cfg.cap_center is not None:
-        if cfg.cap_radius is None:
+def cmd_approx(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    plan = _make_plan(args, config.dim)
+    if args.cap_center is not None:
+        if args.cap_radius is None:
             raise ValueError("--cap-center requires --cap-radius")
-        dirs = sample_near(plan, _unit_direction(cfg.cap_center))
+        dirs = sample_near(plan, _unit_direction(args.cap_center))
     else:
         dirs = sample(plan)
-    images = boundary_map.evaluate_batch_array(config, cfg.eps, dirs)
-    fileio.write_points_csv(cfg.out, images)
-    if cfg.render == "svg":
+    images = boundary_map.evaluate_batch_array(config, args.eps, dirs)
+    fileio.write_points_csv(args.out, images)
+    if args.render == "svg":
         if config.dim != 2:
             raise DimensionUnsupportedError("svg render needs d = 2 input")
-        hull = build_hull(config, cfg.tol_coplanar)
-        fileio.write_svg(_with_suffix(cfg.out, ".svg"), config, hull, images)
-    elif cfg.render == "obj":
+        hull = build_hull(config, args.tol_coplanar)
+        fileio.write_svg(_with_suffix(args.out, ".svg"), config, hull, images)
+    elif args.render == "obj":
         if config.dim != 3:
             raise DimensionUnsupportedError("obj render needs d = 3 input")
-        fileio.write_obj_points(_with_suffix(cfg.out, ".obj"), images)
-    print(f"wrote {images.shape[0]} image points to {cfg.out}")
+        fileio.write_obj_points(_with_suffix(args.out, ".obj"), images)
+    print(f"wrote {images.shape[0]} image points to {args.out}")
     return EXIT_OK
 
 
@@ -103,10 +75,10 @@ def _with_suffix(path: str, suffix: str) -> str:
     return base + suffix
 
 
-def cmd_hull(cfg: RunConfig) -> int:
-    config = _load_config(cfg)
-    hull = build_hull(config, cfg.tol_coplanar)
-    fileio.write_hull_document(cfg.out, hull)
+def cmd_hull(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    hull = build_hull(config, args.tol_coplanar)
+    fileio.write_hull_document(args.out, hull)
     n_by_dim = {}
     for f in hull.faces:
         n_by_dim[f.dim] = n_by_dim.get(f.dim, 0) + 1
@@ -120,63 +92,59 @@ def cmd_hull(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dual(cfg: RunConfig) -> int:
-    config = _load_config(cfg)
+def cmd_dual(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     if config.dim != 3:
         raise DimensionUnsupportedError("dual exports are defined for d = 3")
-    hull = build_hull(config, cfg.tol_coplanar)
+    hull = build_hull(config, args.tol_coplanar)
     complex_ = normal_fan_dual.spherical_dual(hull)
     verdict = normal_fan_dual.dual_combinatorics_check(hull)
-    cells = normal_fan_dual.flattened_spherical_dual(hull)
 
-    dirs = hull.normals
-    key = {tuple(np.round(v, 12)): k for k, v in enumerate(dirs)}
-    index_cells = [[key[tuple(np.round(v, 12))] for v in cell] for _, cell in cells]
-    fileio.write_obj_mesh(_with_suffix(cfg.out, "_spherical.obj"), dirs, index_cells)
-    fileio.write_obj_mesh(_with_suffix(cfg.out, "_flattened.obj"), dirs, index_cells)
+    # one OBJ face per hull vertex: the rows of hull.normals of its facets, in cyclic order
+    index_cells = [positions for _, positions in normal_fan_dual._vertex_cells(hull)]
+    fileio.write_obj_mesh(_with_suffix(args.out, "_spherical.obj"), hull.normals, index_cells)
+    fileio.write_obj_mesh(_with_suffix(args.out, "_flattened.obj"), hull.normals, index_cells)
 
     transform = normal_fan_dual.outer_normal_transform(hull)
-    fileio.write_hull_document(_with_suffix(cfg.out, "_transform.txt"), transform)
-    fileio.write_dual_descriptor(cfg.out, complex_, verdict)
+    fileio.write_hull_document(_with_suffix(args.out, "_transform.txt"), transform)
+    fileio.write_dual_descriptor(args.out, complex_, verdict)
     print(f"equivalent: {str(verdict.equivalent).lower()}")
     print(f"flattened_convex: {str(verdict.flattened_convex).lower()}")
     return EXIT_OK
 
 
-def cmd_converge(cfg: RunConfig) -> int:
-    config = _load_config(cfg)
-    eps_list = cfg.eps_list or set_metrics.DEFAULT_EPSILONS
-    plan = _make_plan(cfg, config.dim)
-    if cfg.degenerate:
+def cmd_converge(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    eps_list = args.eps_list or set_metrics.DEFAULT_EPSILONS
+    plan = _make_plan(args, config.dim)
+    if args.degenerate:
         report = set_metrics.degenerate_limit_probe(
-            config, eps_list, plan, config_id=cfg.input_path)
-        fileio.write_degenerate_csv(cfg.out, report)
+            config, eps_list, plan, config_id=args.input)
+        fileio.write_degenerate_csv(args.out, report)
         print(f"span dim {report.span_dim}; "
               f"final sym distance {report.records[-1].sym_dist:.6g}")
         return EXIT_OK
-    hull = build_hull(config, cfg.tol_coplanar)
+    hull = build_hull(config, args.tol_coplanar)
     report = set_metrics.theorem_sweep(
-        config, hull, eps_list, plan, cfg.boundary_per_facet, config_id=cfg.input_path)
-    fileio.write_report_csv(cfg.out, report)
-    fileio.write_report_summary(_with_suffix(cfg.out, "_summary.txt"), report)
+        config, hull, eps_list, plan, args.boundary_per_facet, config_id=args.input)
+    fileio.write_report_csv(args.out, report)
+    fileio.write_report_summary(_with_suffix(args.out, "_summary.txt"), report)
     print(f"outer slope {report.slope:.4f} (residual {report.slope_residual:.4f})")
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    config = _load_config(cfg)
-    if cfg.direction is None:
-        raise ValueError("classify requires --direction")
-    d = _unit_direction(cfg.direction)
-    hull = build_hull(config, cfg.tol_coplanar)
-    face = classify_direction(hull, d, cfg.tol_tie)
+def cmd_classify(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    d = _unit_direction(args.direction)
+    hull = build_hull(config, args.tol_coplanar)
+    face = classify_direction(hull, d, args.tol_tie)
     kind = {0: "vertex", 1: "edge"}.get(face.dim, f"{face.dim}-face")
     if face.dim == config.dim - 1:
         kind = "facet"
     print(f"{kind} {{{', '.join(str(i) for i in face.vertex_indices)}}} "
           f"(face id {face.face_id}, dim {face.dim})")
-    if cfg.out:
-        with open(cfg.out, "w", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", newline="\n") as fh:
             fh.write(f"face_id,{face.face_id}\ndim,{face.dim}\npoints,"
                      + " ".join(str(i) for i in face.vertex_indices) + "\n")
     return EXIT_OK
@@ -192,7 +160,11 @@ def _unit_direction(components) -> np.ndarray:
 
 
 def _parse_floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.replace(",", " ").split())
+    """A comma- or space-separated list of numbers, as an argparse type."""
+    try:
+        return tuple(float(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--strategy", choices=["uniform_grid_2d", "fibonacci_3d", "gaussian_random"])
-    p.add_argument("--cap-center", type=str, default=None,
+    p.add_argument("--cap-center", type=_parse_floats, default=None,
                    help="comma-separated direction for targeted sampling")
     p.add_argument("--cap-radius", type=float, default=None)
     p.add_argument("--render", choices=["svg", "obj", "none"], default="none")
@@ -232,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="epsilon sweep of boundary distances")
     common(p)
-    p.add_argument("--eps-list", type=str, default="",
+    p.add_argument("--eps-list", type=_parse_floats, default=(),
                    help="comma-separated decreasing epsilons")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--strategy", choices=["uniform_grid_2d", "fibonacci_3d", "gaussian_random"])
@@ -242,40 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="face of the normal-fan cell containing a direction")
     common(p, needs_out=False)
-    p.add_argument("--direction", type=str, required=True,
+    p.add_argument("--direction", type=_parse_floats, required=True,
                    help="comma-separated direction components")
 
     return parser
-
-
-def _to_runconfig(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand, input_path=args.input,
-                    out=getattr(args, "out", ""))
-    cfg.seed = args.seed
-    cfg.tol_distinct = args.tol_distinct
-    cfg.tol_coplanar = args.tol_coplanar
-    cfg.tol_tie = args.tol_tie
-    if hasattr(args, "eps"):
-        cfg.eps = args.eps
-    if hasattr(args, "samples"):
-        cfg.samples = args.samples
-    if getattr(args, "strategy", None):
-        cfg.strategy = args.strategy
-    if getattr(args, "cap_center", None):
-        cfg.cap_center = _parse_floats(args.cap_center)
-    if getattr(args, "cap_radius", None) is not None:
-        cfg.cap_radius = args.cap_radius
-    if getattr(args, "render", None):
-        cfg.render = args.render
-    if getattr(args, "eps_list", ""):
-        cfg.eps_list = _parse_floats(args.eps_list)
-    if hasattr(args, "boundary_per_facet"):
-        cfg.boundary_per_facet = args.boundary_per_facet
-    if getattr(args, "degenerate", False):
-        cfg.degenerate = True
-    if getattr(args, "direction", None):
-        cfg.direction = _parse_floats(args.direction)
-    return cfg
 
 
 _HANDLERS = {
@@ -290,9 +232,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _to_runconfig(args)
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

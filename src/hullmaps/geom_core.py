@@ -60,6 +60,9 @@ class PointConfiguration:
             raise DimensionMismatchError("ambient dimension must be >= 1")
         if n < 2:
             raise ValueError("a configuration needs at least two points")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
 
         diffs = pts[None, :, :] - pts[:, None, :]
         dists = np.linalg.norm(diffs, axis=2)
@@ -109,7 +112,8 @@ class PointConfiguration:
 
 
 def build_configuration(raw_points, distinctness_tol: float | None = None) -> PointConfiguration:
-    """Build a configuration from raw coordinate vectors, rejecting duplicates."""
+    """Build a configuration from raw coordinate vectors, rejecting duplicates
+    and non-finite coordinates."""
     rows = [np.atleast_1d(np.asarray(p, dtype=float)) for p in raw_points]
     if not rows:
         raise ValueError("a configuration needs at least two points")

@@ -68,6 +68,7 @@ class HullDescription:
         self.normals = np.asarray([f.outward_normal for f in facets])
         self.offsets = np.asarray([f.offset for f in facets])
         self._face_by_points = {frozenset(f.vertex_indices): f.face_id for f in faces}
+        self._facet_position = {f.face_id: k for k, f in enumerate(facets)}
         self._face_basis_cache = {}
 
     @property
@@ -81,6 +82,10 @@ class HullDescription:
     def face_by_points(self, indices):
         fid = self._face_by_points.get(frozenset(indices))
         return None if fid is None else self.faces[fid]
+
+    def facet_positions(self, face_id: int) -> list:
+        """Positions in ``facets`` (rows of ``normals``) of the facets through a face."""
+        return [self._facet_position[fid] for fid in self.faces[face_id].incident_facets]
 
     def face_points(self, face_id: int) -> np.ndarray:
         return self.config.points[list(self.faces[face_id].vertex_indices)]
@@ -236,18 +241,17 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
                 children[k].append(fid)
     children = {fid: tuple(kids) for fid, kids in children.items()}
 
+    # a boundary point is a vertex iff the facets through it meet in a 0-face
     vertex_flags = []
     containing_face = []
     for p in range(n):
-        on = sorted(facets_through[p], key=id_of.get)
-        if not on:
+        if not facets_through[p]:
             vertex_flags.append("interior")
             containing_face.append(None)
             continue
-        containing_face.append(id_of[frozenset.intersection(*on)])
-        normals = np.asarray([facet_data[s][0] for s in on])
-        rank = int(np.linalg.matrix_rank(normals, tol=1e-9))
-        vertex_flags.append("vertex" if rank == d else "boundary_nonvertex")
+        inter = frozenset.intersection(*facets_through[p])
+        containing_face.append(id_of[inter])
+        vertex_flags.append("vertex" if dims[inter] == 0 else "boundary_nonvertex")
 
     return HullDescription(config, facets, faces, children, vertex_flags,
                            containing_face, tol)

@@ -6,6 +6,11 @@ The collection of those cells tiles the sphere and is combinatorially the dual
 polytope.  Flattening each cell to the convex hull of its vertex directions
 yields a piecewise-linear surface whose convexity decides whether the hull of
 the facet normals is combinatorially equivalent to the dual.
+
+Every question here is answered from the hull's face lattice with the facets
+as labels: facet k is row k of ``hull.normals``, a cell is the set of labels
+of the facets through its face, and the incidence of cells is the containment
+of faces.  Labels, not normal coordinates, identify cells.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .hull_oracle import (
     Face,
     HullDescription,
     _face_within,
+    _faces_below,
     _facet_distances,
     build_hull,
     classify_direction,
@@ -80,16 +86,12 @@ class DualCheckResult:
     flattened_convex: bool
 
 
-def _incident_normals(hull: HullDescription, face: Face) -> np.ndarray:
-    by_id = {f.face_id: f for f in hull.facets}
-    return np.asarray([by_id[fid].outward_normal for fid in face.incident_facets])
-
-
 def normal_fan(hull: HullDescription) -> list[NormalCone]:
     """One cone per face of the boundary; facet cones are single rays."""
     d = hull.dim
     return [
-        NormalCone(face_id=f.face_id, dim=d - f.dim, generators=_incident_normals(hull, f))
+        NormalCone(face_id=f.face_id, dim=d - f.dim,
+                   generators=hull.normals[hull.facet_positions(f.face_id)])
         for f in hull.faces
     ]
 
@@ -102,16 +104,11 @@ def spherical_dual(hull: HullDescription) -> SphericalDualComplex:
             face_id=f.face_id,
             face_dim=f.dim,
             cell_dim=d - f.dim - 1,
-            vertex_dirs=_incident_normals(hull, f),
+            vertex_dirs=hull.normals[hull.facet_positions(f.face_id)],
         )
         for f in hull.faces
     )
-    pairs = []
-    sets = {f.face_id: frozenset(f.vertex_indices) for f in hull.faces}
-    for a in hull.faces:
-        for b in hull.faces:
-            if a.face_id != b.face_id and sets[a.face_id] < sets[b.face_id]:
-                pairs.append((a.face_id, b.face_id))
+    pairs = [(a, b.face_id) for b in hull.faces for a in _faces_below(hull, b.face_id)]
     counts = [0] * d
     for c in cells:
         counts[c.cell_dim] += 1
@@ -130,7 +127,7 @@ def gauss_map(hull: HullDescription, x, tol: float | None = None) -> GaussValue:
         raise NotOnBoundaryError(f"point is {dist:g} away from the boundary")
     face = _face_within(hull, dists, tol)
     return GaussValue(face_id=face.face_id, face_dim=face.dim,
-                      cell_dirs=_incident_normals(hull, face))
+                      cell_dirs=hull.normals[hull.facet_positions(face.face_id)])
 
 
 def inverse_gauss(hull: HullDescription, n, tie_tol: float | None = None) -> Face:
@@ -147,20 +144,26 @@ def w_set_contains(hull: HullDescription, face_id: int, n, tie_tol: float | None
     return frozenset(g.vertex_indices) <= frozenset(face.vertex_indices)
 
 
-def _cyclic_cell_dirs(hull: HullDescription, face: Face) -> np.ndarray:
-    """Incident facet normals ordered by angle around the cone axis."""
-    gens = _incident_normals(hull, face)
-    axis = gens.sum(axis=0)
-    nrm = np.linalg.norm(axis)
-    if nrm < 1e-12:
-        axis = np.cross(gens[0], gens[1])
+def _vertex_cells(hull: HullDescription) -> list:
+    """(point index, facet positions) per hull vertex (d = 3): the positions of
+    the facets through the vertex, their normals ordered by angle around the
+    cone axis."""
+    cells = []
+    for face in hull.faces_of_dim(0):
+        positions = np.asarray(hull.facet_positions(face.face_id))
+        gens = hull.normals[positions]
+        axis = gens.sum(axis=0)
         nrm = np.linalg.norm(axis)
-    axis = axis / nrm
-    ref = gens[0] - np.dot(gens[0], axis) * axis
-    ref = ref / np.linalg.norm(ref)
-    perp = np.cross(axis, ref)
-    ang = np.arctan2(gens @ perp, gens @ ref)
-    return gens[np.argsort(ang)]
+        if nrm < 1e-12:
+            axis = np.cross(gens[0], gens[1])
+            nrm = np.linalg.norm(axis)
+        axis = axis / nrm
+        ref = gens[0] - np.dot(gens[0], axis) * axis
+        ref = ref / np.linalg.norm(ref)
+        perp = np.cross(axis, ref)
+        ang = np.arctan2(gens @ perp, gens @ ref)
+        cells.append((face.vertex_indices[0], positions[np.argsort(ang)]))
+    return cells
 
 
 def flattened_spherical_dual(hull: HullDescription) -> list:
@@ -171,18 +174,13 @@ def flattened_spherical_dual(hull: HullDescription) -> list:
     """
     if hull.dim != 3:
         raise DimensionUnsupportedError("flattened dual is defined for d = 3")
-    cells = []
-    for face in hull.faces_of_dim(0):
-        point_index = face.vertex_indices[0]
-        cells.append((point_index, _cyclic_cell_dirs(hull, face)))
-    return cells
+    return [(point_index, hull.normals[positions])
+            for point_index, positions in _vertex_cells(hull)]
 
 
 def outer_normal_transform(hull: HullDescription) -> HullDescription:
     """Hull of the facet normal directions."""
-    normals = [f.outward_normal for f in hull.facets]
-    config = build_configuration(normals)
-    return build_hull(config)
+    return build_hull(build_configuration(hull.normals))
 
 
 def dual_combinatorics_check(hull: HullDescription,
@@ -203,10 +201,10 @@ def dual_combinatorics_check(hull: HullDescription,
     if hull.dim != 3:
         raise DimensionUnsupportedError("duality check is defined for d = 3")
 
-    cells = flattened_spherical_dual(hull)
-    all_dirs = hull.normals
+    cells = [positions for _, positions in _vertex_cells(hull)]
     flattened_convex = True
-    for _, dirs in cells:
+    for positions in cells:
+        dirs = hull.normals[positions]
         center = dirs.mean(axis=0)
         _, sv, vh = np.linalg.svd(dirs - center, full_matrices=True)
         normal = vh[-1]
@@ -214,27 +212,14 @@ def dual_combinatorics_check(hull: HullDescription,
         if offset < 0:
             normal, offset = -normal, -offset
         planar = float(np.abs(dirs @ normal - offset).max()) <= planarity_tol
-        if not planar:
-            flattened_convex = False
-            break
-        member = {tuple(np.round(v, 12)) for v in dirs}
-        strict = True
-        for w in all_dirs:
-            if tuple(np.round(w, 12)) in member:
-                continue
-            if float(np.dot(w, normal)) > offset - planarity_tol:
-                strict = False
-                break
-        if not strict:
+        others = np.delete(hull.normals, positions, axis=0)  # the non-incident facets
+        if not planar or any(float(np.dot(w, normal)) > offset - planarity_tol for w in others):
             flattened_convex = False
             break
 
     # transform point k is the normal of hull facet k, and every distinct unit
     # vector is extreme, so both sides below are sets of facet labels
     transform = outer_normal_transform(hull)
-    stars = {
-        frozenset(k for k, f in enumerate(hull.facets) if v in f.vertex_indices)
-        for v in hull.vertices
-    }
+    stars = {frozenset(positions.tolist()) for positions in cells}
     equivalent = stars == {frozenset(f.vertex_indices) for f in transform.facets}
     return DualCheckResult(equivalent=equivalent, flattened_convex=flattened_convex)

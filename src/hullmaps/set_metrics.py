@@ -29,6 +29,7 @@ from .geom_core import PointConfiguration, build_configuration, is_nondegenerate
 from .hull_oracle import (
     MAX_TRIES_PER_SAMPLE,
     HullDescription,
+    _faces_below,
     build_hull,
     classify_directions_bulk,
     distances_to_boundary,
@@ -36,7 +37,7 @@ from .hull_oracle import (
     sample_boundary,
     sample_face_points,
 )
-from .sphere_sampling import CapFocus, SamplePlan, sample, sample_near
+from .sphere_sampling import CapFocus, SamplePlan, default_strategy, sample, sample_near
 
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
 LADDER_BASE_FACTOR = 0.5  # innermost cap radius in units of eps
@@ -182,8 +183,7 @@ def _fit_loglog_slope(epsilons, values):
 
 
 def _cap_plan(dim: int, count: int, radius: float, seed: int) -> SamplePlan:
-    strategy = {2: "uniform_grid_2d", 3: "fibonacci_3d"}.get(dim, "gaussian_random")
-    return SamplePlan(dim=dim, strategy=strategy, count=count, seed=seed,
+    return SamplePlan(dim=dim, strategy=default_strategy(dim), count=count, seed=seed,
                       focus=CapFocus(cap_radius=radius))
 
 
@@ -265,7 +265,6 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
     """
     if hull.dim != 3:
         return np.empty((0, hull.dim))
-    facet_by_id = {f.face_id: f for f in hull.facets}
     edges = [f for f in hull.faces if f.dim == 1]
     if face_ids is not None:
         wanted = set(face_ids)
@@ -278,8 +277,8 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
     for edge in edges:
         if len(edge.incident_facets) != 2:
             continue
-        fa = facet_by_id[edge.incident_facets[0]]
-        fb = facet_by_id[edge.incident_facets[1]]
+        ka, kb = hull.facet_positions(edge.face_id)
+        fa, fb = hull.facets[ka], hull.facets[kb]
         na, nb = fa.outward_normal, fb.outward_normal
         angle = float(np.arccos(np.clip(np.dot(na, nb), -1.0, 1.0)))
         if angle < 1e-9:
@@ -355,10 +354,7 @@ def theorem_sweep(config: PointConfiguration, hull: HullDescription, epsilons,
 
 
 def _face_center_direction(hull: HullDescription, face_id: int) -> np.ndarray:
-    from .normal_fan_dual import _incident_normals  # local import avoids a cycle
-
-    gens = _incident_normals(hull, hull.faces[face_id])
-    axis = gens.sum(axis=0)
+    axis = hull.normals[hull.facet_positions(face_id)].sum(axis=0)
     nrm = np.linalg.norm(axis)
     if nrm < 1e-12:
         raise ValueError("degenerate cap center for face probe")
@@ -384,27 +380,20 @@ def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id:
 
     center_fid = probe_plan.focus.face_id if probe_plan.focus.face_id is not None else face_id
     center = _face_center_direction(hull, center_fid)
-    base_dirs = sample_near(probe_plan, center)
     focus_set = frozenset(hull.faces[center_fid].vertex_indices)
-    tube_edges = [f.face_id for f in hull.faces
-                  if f.dim == 1 and frozenset(f.vertex_indices) <= focus_set]
+    tube_edges = [fid for fid in _faces_below(hull, center_fid) | {center_fid}
+                  if hull.faces[fid].dim == 1]
 
-    allowed = {
-        f.face_id for f in hull.faces
-        if frozenset(f.vertex_indices) <= frozenset(face.vertex_indices)
-    }
+    allowed = _faces_below(hull, face_id) | {face_id}
     face_pts = sample_face_points(hull, face_id, face_sample_count, face_seed)
 
     records = []
     for eps in eps_list:
-        ladder = [
-            sample_near(_cap_plan(config.dim, probe_plan.count, r, probe_plan.seed + 1 + m),
-                        center)
-            for m, r in enumerate(_ladder_radii(eps, probe_plan.focus.cap_radius))
-        ]
+        caps = cap_directions(probe_plan.dim, center, eps, probe_plan.focus.cap_radius,
+                              probe_plan.count, probe_plan.count, probe_plan.seed)
         tubes = arc_tube_directions(hull, eps, face_ids=tube_edges,
                                     allowed_points=focus_set)
-        dirs = np.vstack([base_dirs] + ladder + ([tubes] if tubes.size else []))
+        dirs = np.vstack([caps, tubes])
         ids = classify_directions_bulk(hull, dirs)
         keep = np.isin(ids, list(allowed))
         if not np.any(keep):

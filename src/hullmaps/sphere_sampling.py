@@ -20,6 +20,12 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 STRATEGIES = ("uniform_grid_2d", "fibonacci_3d", "gaussian_random")
 
 
+def default_strategy(dim: int) -> str:
+    """The strategy a plan uses when none is named: the low-discrepancy scheme
+    of its dimension, else Gaussian."""
+    return {2: "uniform_grid_2d", 3: "fibonacci_3d"}.get(dim, "gaussian_random")
+
+
 @dataclass(frozen=True)
 class CapFocus:
     """Targeted-sampling parameters: angular cap radius, optional face id."""

@@ -16,7 +16,7 @@ from hullmaps.fileio import (
     write_obj_points,
     write_points_csv,
 )
-from hullmaps.normal_fan_dual import dual_combinatorics_check
+from hullmaps.normal_fan_dual import dual_combinatorics_check, flattened_spherical_dual
 
 
 @pytest.fixture
@@ -137,6 +137,23 @@ def test_cmd_dual_cube(tmp_path, cube_csv):
     assert len(tdoc["vertices"]) == 6
 
 
+def test_cmd_dual_obj_faces_index_flattened_rows(tmp_path):
+    """Each OBJ face lists, in cyclic order, the rows of the normals that
+    flattened_spherical_dual gives for the same vertex."""
+    pts = np.random.default_rng(6).standard_normal((14, 3))
+    src = tmp_path / "g.csv"
+    write_points_csv(src, pts)
+    assert main(["dual", str(src), "--out", str(tmp_path / "g.txt")]) == 0
+    hull = build_hull(build_configuration(pts))
+    cells = flattened_spherical_dual(hull)
+    for mesh in ("g_spherical.obj", "g_flattened.obj"):
+        verts, faces = read_obj_mesh(str(tmp_path / mesh))
+        assert np.array_equal(verts, hull.normals)
+        assert len(faces) == len(cells)
+        for face, (_, dirs) in zip(faces, cells):
+            assert np.array_equal(verts[list(face)], dirs)
+
+
 def test_cmd_dual_rejects_2d(tmp_path, tri_csv):
     assert main(["dual", tri_csv, "--out", str(tmp_path / "x.txt")]) == 2
 
@@ -226,3 +243,30 @@ def test_cap_center_sampling(tmp_path, cube_csv):
     for center, expected in (("1,1,1", 0), ("0,0,0", 2), ("nan,0,1", 2)):
         assert main(["approx", cube_csv, "--out", out, "--samples", "20",
                      "--cap-center", center, "--cap-radius", "0.3"]) == expected
+
+
+def test_malformed_number_lists_exit_2(tmp_path, cube_csv, capsys):
+    out = str(tmp_path / "x.csv")
+    for args in (["approx", cube_csv, "--out", out, "--cap-center", "1,a,2",
+                  "--cap-radius", "0.3"],
+                 ["converge", cube_csv, "--out", out, "--eps-list", "0.1,x"],
+                 ["classify", cube_csv, "--direction", "0,0,z"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "not a list of numbers" in capsys.readouterr().err
+    # an empty center is an error, not a request for uniform sampling
+    assert main(["approx", cube_csv, "--out", out, "--cap-center", "",
+                 "--cap-radius", "0.3"]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_points_exit_2(tmp_path, bad):
+    src = tmp_path / "p.csv"
+    src.write_text(f"dim,2\n0,0\n1,0\n0,1\n{bad},0.5\n")
+    out = str(tmp_path / "o.csv")
+    assert main(["approx", str(src), "--out", out, "--samples", "10"]) == 2
+    assert main(["hull", str(src), "--out", out]) == 2
+    assert main(["converge", str(src), "--out", out, "--samples", "10",
+                 "--eps-list", "0.1"]) == 2
+    assert not (tmp_path / "o.csv").exists()

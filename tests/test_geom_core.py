@@ -33,6 +33,12 @@ def test_near_duplicate_rejected_by_relative_tolerance():
         build_configuration([[0.0, 0.0], [1e-12, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
+        build_configuration([[0.0, 0.0], [1.0, 0.0], [0.5, bad], [0.0, 1.0]])
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         build_configuration([[0.0, 0.0], [1.0, 2.0, 3.0]])

@@ -199,6 +199,24 @@ def test_spherical_dual_counts(cube_hull):
         assert sets[a] < sets[b]
 
 
+@pytest.mark.parametrize("d, n, seed", [(2, 9, 0), (3, 14, 1), (3, 30, 2), (4, 11, 3),
+                                        (5, 10, 4), (3, 300, None)])
+def test_spherical_dual_incidence_is_every_subset_pair(d, n, seed):
+    """The incidence walked down the face lattice is the complete, sorted list
+    of strict point-set containments, as an all-pairs scan finds them.  With
+    no seed, the points lie on the unit sphere."""
+    if seed is None:
+        pts = np.random.default_rng(3).standard_normal((n, d))
+        cfg = build_configuration(pts / np.linalg.norm(pts, axis=1)[:, None])
+    else:
+        cfg = random_configuration(np.random.default_rng(seed), n, d)
+    hull = build_hull(cfg)
+    sets = {f.face_id: frozenset(f.vertex_indices) for f in hull.faces}
+    oracle = [(a.face_id, b.face_id) for a in hull.faces for b in hull.faces
+              if a.face_id != b.face_id and sets[a.face_id] < sets[b.face_id]]
+    assert spherical_dual(hull).incidence == tuple(sorted(oracle))
+
+
 def test_flattened_dual_cube_is_octahedron(cube_hull):
     cells = flattened_spherical_dual(cube_hull)
     assert len(cells) == 8

@@ -89,6 +89,21 @@ def test_sweep_epsilon_validation(triangle, triangle_hull):
         theorem_sweep(triangle, triangle_hull, [0.0], plan, 10)
 
 
+def test_theorem_sweep_looks_up_the_kernel_at_call_time(monkeypatch, triangle, triangle_hull):
+    """The benchmark routes the sweep's kernel through the module global
+    ``set_metrics.evaluate_batch_array``; the sweep must call it by that name."""
+    from hullmaps import set_metrics
+
+    calls = []
+    kernel = set_metrics.evaluate_batch_array
+    monkeypatch.setattr(set_metrics, "evaluate_batch_array",
+                        lambda *args: calls.append(args[1]) or kernel(*args))
+    plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=64)
+    theorem_sweep(triangle, triangle_hull, [1e-1, 1e-2], plan, 10,
+                  cap_count_per_facet=20, ladder_cap_count=10)
+    assert calls == [1e-1, 1e-2]
+
+
 def test_triangle_sweep(triangle, triangle_hull):
     plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=4000, seed=3)
     rep = theorem_sweep(triangle, triangle_hull, [1e-1, 1e-2, 1e-3, 1e-4], plan,
