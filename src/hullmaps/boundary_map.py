@@ -11,14 +11,17 @@ Every public evaluator runs one NumPy kernel, :func:`_eval_batch`.  It fills
 runs of whole direction rows while ``n*n`` fits, otherwise one direction and
 a slice of i rows.  The batch's directions are cut into one run per CPU in
 the process's affinity mask, and a thread pool, started by the first batch
-of more than one run, fills each run's rows of ``log_c``; a batch of one run
-(every one-direction call among them) stays on the calling thread.  The
-normalization and the image sum then run once over the whole batch.
+of more than one run, takes the runs; a batch of one run (every
+one-direction call among them) stays on the calling thread.  Each run forms
+its own rows of the result: ``log_c``, then the normalized weights, then the
+images, in blocks that fit the same two tile buffers.  The image sum runs
+coordinate-major over a transposed block of weights.
 
 Each array operation is independent per ``(k, i)`` row and sums in a fixed
-order: the dots add coordinate by coordinate, and each log row is summed
-whole.  So a direction's result does not depend on the batch it came in, on
-how the batch is cut into tiles and runs, or on the number of workers.
+order: the dots add coordinate by coordinate, each log row and weight row is
+summed whole, and each image coordinate adds its n terms in point order.  So
+a direction's result does not depend on the batch it came in, on how the
+batch is cut into tiles, blocks and runs, or on the number of workers.
 """
 
 from __future__ import annotations
@@ -124,8 +127,14 @@ def _tile_shape(n: int) -> tuple[int, int]:
     return 1, max(1, _CHUNK_BUDGET // n)
 
 
-def _fill_log_c(planes, eps, dirs, log_c, k0, k1, dots_buf, term_buf):
-    """Fill ``log_c[k0:k1]`` tile by tile, in this run's own pair of tile buffers."""
+def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b):
+    """Form rows ``k0:k1`` of ``out`` = (lambdas, log_c, images) in this run's two buffers.
+
+    ``log_c`` is filled tile by tile.  The weights and images are then formed
+    in blocks of m rows: the lambdas are copied transposed into ``buf_a`` as
+    (n, m), and ``buf_b`` holds the (d, m) image sum and its (d, m) term.
+    """
+    lambdas, log_c, images = out
     d, n, _ = planes.shape
     rows, height = _tile_shape(n)
     for ka in range(k0, k1, rows):
@@ -133,8 +142,8 @@ def _fill_log_c(planes, eps, dirs, log_c, k0, k1, dots_buf, term_buf):
         block = dirs[ka:kb]
         for i0 in range(0, n, height):
             m, h = kb - ka, min(height, n - i0)
-            dots = dots_buf[:m * h * n].reshape(m, h, n)
-            term = term_buf[:m * h * n].reshape(m, h, n)
+            dots = buf_a[:m * h * n].reshape(m, h, n)
+            term = buf_b[:m * h * n].reshape(m, h, n)
             np.multiply(block[:, 0, None, None], planes[0, i0:i0 + h], out=dots)
             for c in range(1, d):
                 np.multiply(block[:, c, None, None], planes[c, i0:i0 + h], out=term)
@@ -145,27 +154,28 @@ def _fill_log_c(planes, eps, dirs, log_c, k0, k1, dots_buf, term_buf):
             dots.reshape(m, -1)[:, i0::n + 1] = 1.0  # log(1) = 0 stands in for j = i
             np.log(dots, out=dots)
             np.sum(dots, axis=2, out=log_c[ka:kb, i0:i0 + h])
-
-
-def _log_c(planes, eps, dirs):
-    """``log_c`` of a batch, filled run by run; several runs go to the kernel pool."""
-    n = planes.shape[1]
-    nb = dirs.shape[0]
-    log_c = np.empty((nb, n))
-    rows, height = _tile_shape(n)
-    runs = max(1, min(_WORKERS, -(-nb // rows)))
-    cuts = [nb * r // runs for r in range(runs + 1)]
-    # one allocation on the calling thread, freed on return before the weights
-    # exist; buffers made and kept by the workers raised the sweep's peak RSS
-    bufs = np.empty((runs, 2, min(rows, -(-nb // runs)) * height * n))
-    if runs == 1:
-        _fill_log_c(planes, eps, dirs, log_c, 0, nb, *bufs[0])
-    else:
-        jobs = [_kernel_pool().submit(_fill_log_c, planes, eps, dirs, log_c, a, b, *buf)
-                for a, b, buf in zip(cuts, cuts[1:], bufs)]
-        for job in jobs:
-            job.result()
-    return log_c
+    block_rows = buf_a.size // max(n, 2 * d)
+    for ka in range(k0, k1, block_rows):
+        kb = min(ka + block_rows, k1)
+        m = kb - ka
+        lc, lam = log_c[ka:kb], lambdas[ka:kb]
+        per_row = buf_b[:m]
+        np.max(lc, axis=1, out=per_row)
+        np.subtract(lc, per_row[:, None], out=lam)
+        np.exp(lam, out=lam)
+        np.sum(lam, axis=1, out=per_row)
+        lam /= per_row[:, None]
+        # each image coordinate sums 0 + l_0 p_0 + l_1 p_1 + ... in point order;
+        # the (d, m) layout keeps every inner loop m long
+        lam_t = buf_a[:n * m].reshape(n, m)
+        np.copyto(lam_t, lam.T)
+        img_t = buf_b[:d * m].reshape(d, m)
+        term = buf_b[d * m:2 * d * m].reshape(d, m)
+        img_t.fill(0.0)
+        for i in range(n):
+            np.multiply(points[i, :, None], lam_t[i], out=term)
+            img_t += term
+        images[ka:kb] = img_t.T
 
 
 def _eval_batch(points, pair_dirs, eps, dirs):
@@ -175,19 +185,29 @@ def _eval_batch(points, pair_dirs, eps, dirs):
     over ``j != i``.  The dots accumulate coordinate by coordinate, never
     through a matrix product, whose blocking would make a row's rounding
     depend on the batch size.  The directions are cut into at most
-    ``_WORKERS`` runs of whole tiles, which fill disjoint rows of ``log_c``;
-    the tile buffers are released before the weights are formed.
+    ``_WORKERS`` runs of whole tiles; each run forms its own rows of all
+    three results, and several runs go to the kernel pool.
     """
     n, d = points.shape
+    nb = dirs.shape[0]
     planes = np.ascontiguousarray(np.moveaxis(pair_dirs, 2, 0))  # (d, n, n)
-    log_c = _log_c(planes, eps, dirs)
-    lambdas = log_c - log_c.max(axis=1)[:, None]
-    np.exp(lambdas, out=lambdas)
-    lambdas /= lambdas.sum(axis=1)[:, None]
-    images = np.zeros((dirs.shape[0], d))
-    for i in range(n):
-        images += lambdas[:, i, None] * points[i]
-    return lambdas, log_c, images
+    out = np.empty((nb, n)), np.empty((nb, n)), np.empty((nb, d))
+    rows, height = _tile_shape(n)
+    runs = max(1, min(_WORKERS, -(-nb // rows)))
+    cuts = [nb * r // runs for r in range(runs + 1)]
+    # one allocation on the calling thread, big enough for a tile and for a
+    # weight block of at least one row; buffers made by the workers raised
+    # the sweep's peak RSS
+    tile = min(rows, -(-nb // runs)) * height * n
+    bufs = np.empty((runs, 2, max(tile, n, 2 * d)))
+    if runs == 1:
+        _run(planes, points, eps, dirs, out, 0, nb, *bufs[0])
+    else:
+        jobs = [_kernel_pool().submit(_run, planes, points, eps, dirs, out, a, b, *buf)
+                for a, b, buf in zip(cuts, cuts[1:], bufs)]
+        for job in jobs:
+            job.result()
+    return out
 
 
 def c_factor(config: PointConfiguration, i: int, j: int, epsilon: float, n) -> float:

@@ -47,24 +47,23 @@ def _load_config(args: argparse.Namespace):
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
+    if (args.cap_center is None) != (args.cap_radius is None):
+        raise ValueError("--cap-center and --cap-radius must be given together")
     config = _load_config(args)
+    render_dim = {"svg": 2, "obj": 3}.get(args.render)
+    if render_dim is not None and config.dim != render_dim:
+        raise DimensionUnsupportedError(f"{args.render} render needs d = {render_dim} input")
     plan = _make_plan(args, config.dim)
     if args.cap_center is not None:
-        if args.cap_radius is None:
-            raise ValueError("--cap-center requires --cap-radius")
         dirs = sample_near(plan, _unit_direction(args.cap_center))
     else:
         dirs = sample(plan)
     images = boundary_map.evaluate_batch_array(config, args.eps, dirs)
     fileio.write_points_csv(args.out, images)
     if args.render == "svg":
-        if config.dim != 2:
-            raise DimensionUnsupportedError("svg render needs d = 2 input")
         hull = build_hull(config, args.tol_coplanar)
         fileio.write_svg(_with_suffix(args.out, ".svg"), config, hull, images)
     elif args.render == "obj":
-        if config.dim != 3:
-            raise DimensionUnsupportedError("obj render needs d = 3 input")
         fileio.write_obj_points(_with_suffix(args.out, ".obj"), images)
     print(f"wrote {images.shape[0]} image points to {args.out}")
     return EXIT_OK
@@ -98,14 +97,14 @@ def cmd_dual(args: argparse.Namespace) -> int:
         raise DimensionUnsupportedError("dual exports are defined for d = 3")
     hull = build_hull(config, args.tol_coplanar)
     complex_ = normal_fan_dual.spherical_dual(hull)
-    verdict = normal_fan_dual.dual_combinatorics_check(hull)
+    transform = normal_fan_dual.outer_normal_transform(hull)
+    verdict = normal_fan_dual.dual_combinatorics_check(hull, transform=transform)
 
     # one OBJ face per hull vertex: the rows of hull.normals of its facets, in cyclic order
     index_cells = [positions for _, positions in normal_fan_dual._vertex_cells(hull)]
     fileio.write_obj_mesh(_with_suffix(args.out, "_spherical.obj"), hull.normals, index_cells)
     fileio.write_obj_mesh(_with_suffix(args.out, "_flattened.obj"), hull.normals, index_cells)
 
-    transform = normal_fan_dual.outer_normal_transform(hull)
     fileio.write_hull_document(_with_suffix(args.out, "_transform.txt"), transform)
     fileio.write_dual_descriptor(args.out, complex_, verdict)
     print(f"equivalent: {str(verdict.equivalent).lower()}")

@@ -184,7 +184,8 @@ def outer_normal_transform(hull: HullDescription) -> HullDescription:
 
 
 def dual_combinatorics_check(hull: HullDescription,
-                             planarity_tol: float = FLATTEN_PLANARITY_TOL) -> DualCheckResult:
+                             planarity_tol: float = FLATTEN_PLANARITY_TOL,
+                             transform: HullDescription | None = None) -> DualCheckResult:
     """Convexity of the flattened dual vs combinatorial equivalence of the transform.
 
     ``flattened_convex`` holds iff every flattened cell is planar and its
@@ -196,7 +197,8 @@ def dual_combinatorics_check(hull: HullDescription,
     booleans agree on every valid input whose facet normals lie well apart
     compared with ``planarity_tol``; on a nearly degenerate hull, such as a
     cube perturbed by 1e-4, a flattened cell can pass as planar within
-    ``planarity_tol`` while the transform's facets split it.
+    ``planarity_tol`` while the transform's facets split it.  A caller that
+    already holds ``outer_normal_transform(hull)`` passes it as ``transform``.
     """
     if hull.dim != 3:
         raise DimensionUnsupportedError("duality check is defined for d = 3")
@@ -219,7 +221,8 @@ def dual_combinatorics_check(hull: HullDescription,
 
     # transform point k is the normal of hull facet k, and every distinct unit
     # vector is extreme, so both sides below are sets of facet labels
-    transform = outer_normal_transform(hull)
+    if transform is None:
+        transform = outer_normal_transform(hull)
     stars = {frozenset(positions.tolist()) for positions in cells}
     equivalent = stars == {frozenset(f.vertex_indices) for f in transform.facets}
     return DualCheckResult(equivalent=equivalent, flattened_convex=flattened_convex)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hullmaps import build_configuration, build_hull, spherical_dual
+from hullmaps import build_configuration, build_hull, normal_fan_dual, spherical_dual
 from hullmaps.cli import main
 from hullmaps.fileio import (
     read_dual_descriptor,
@@ -154,6 +154,19 @@ def test_cmd_dual_obj_faces_index_flattened_rows(tmp_path):
             assert np.array_equal(verts[list(face)], dirs)
 
 
+def test_cmd_dual_builds_the_transform_once(tmp_path, cube_csv, monkeypatch):
+    calls = []
+    build = normal_fan_dual.outer_normal_transform
+
+    def counting(hull):
+        calls.append(hull)
+        return build(hull)
+
+    monkeypatch.setattr(normal_fan_dual, "outer_normal_transform", counting)
+    assert main(["dual", cube_csv, "--out", str(tmp_path / "dual.txt")]) == 0
+    assert len(calls) == 1
+
+
 def test_cmd_dual_rejects_2d(tmp_path, tri_csv):
     assert main(["dual", tri_csv, "--out", str(tmp_path / "x.txt")]) == 2
 
@@ -229,6 +242,20 @@ def test_cmd_missing_input_exit(tmp_path):
 
 def test_cmd_approx_eps_domain(tmp_path, tri_csv):
     assert main(["approx", tri_csv, "--out", str(tmp_path / "x.csv"), "--eps", "0"]) == 2
+
+
+def test_cmd_approx_render_dimension_checked_before_writing(tmp_path, cube_csv, tri_csv):
+    out = tmp_path / "img.csv"
+    assert main(["approx", cube_csv, "--out", str(out), "--render", "svg"]) == 2
+    assert main(["approx", tri_csv, "--out", str(out), "--render", "obj"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.csv", "tri.csv"]
+
+
+def test_cap_radius_without_center_exit_2(tmp_path, cube_csv, capsys):
+    out = tmp_path / "cap.csv"
+    assert main(["approx", cube_csv, "--out", str(out), "--cap-radius", "0.3"]) == 2
+    assert "--cap-radius" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cap_center_sampling(tmp_path, cube_csv):

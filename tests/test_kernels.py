@@ -189,6 +189,35 @@ def test_row_sliced_tiles_match_serial(medium_config, dirs_batch, budget, monkey
     _assert_matches_serial(medium_config, 1e-3, dirs_batch[:60])
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("budget", [120, 7])
+def test_weight_blocks_within_a_run_match_serial(medium_config, dirs_batch, budget, workers,
+                                                 monkeypatch):
+    """A small budget cuts each run's weights and images into several blocks."""
+    monkeypatch.setattr(boundary_map, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(boundary_map, "_WORKERS", workers)
+    # 24 points: blocks of 5 rows at a budget of 120, of one row at 7
+    _assert_matches_serial(medium_config, 1e-3, dirs_batch[:90])
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("n_points,dim", [(2, 3), (3, 6)])
+def test_more_coordinates_than_points_match_serial(n_points, dim, count):
+    """With d > n the image block, not the tile, sets the buffer size."""
+    rng = np.random.default_rng(11 * n_points + dim)
+    cfg = build_configuration(rng.standard_normal((n_points, dim)))
+    dirs = _unit_rows(rng, count, dim)
+    for eps in (1e-8, 1e-2, 1.0):
+        _assert_matches_serial(cfg, eps, dirs)
+
+
+def test_one_direction_at_max_points_matches_serial():
+    rng = np.random.default_rng(1000)
+    cfg = build_configuration(rng.standard_normal((1000, 3)))
+    for eps in (1e-4, 1.0):
+        _assert_matches_serial(cfg, eps, _unit_rows(rng, 1, 3))
+
+
 def _kernel_in_child(results, points, pair_dirs, dirs):
     results.put(_eval_batch(points, pair_dirs, 1e-3, dirs))
 
