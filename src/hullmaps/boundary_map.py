@@ -132,7 +132,8 @@ def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b):
 
     ``log_c`` is filled tile by tile.  The weights and images are then formed
     in blocks of m rows: the lambdas are copied transposed into ``buf_a`` as
-    (n, m), and ``buf_b`` holds the (d, m) image sum and its (d, m) term.
+    (n, m), and ``buf_b`` holds the row maxima and sums, then the (d, m)
+    image sum and its (d, m) term.
     """
     lambdas, log_c, images = out
     d, n, _ = planes.shape

@@ -36,7 +36,7 @@ EXIT_NUMERIC = 5
 
 def _make_plan(args: argparse.Namespace, dim: int) -> SamplePlan:
     cap_radius = getattr(args, "cap_radius", None)  # approx only
-    focus = CapFocus(cap_radius=cap_radius) if cap_radius else None
+    focus = CapFocus(cap_radius=cap_radius) if cap_radius is not None else None
     return SamplePlan(dim=dim, strategy=args.strategy or default_strategy(dim),
                       count=args.samples, seed=args.seed, focus=focus)
 
@@ -53,6 +53,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     render_dim = {"svg": 2, "obj": 3}.get(args.render)
     if render_dim is not None and config.dim != render_dim:
         raise DimensionUnsupportedError(f"{args.render} render needs d = {render_dim} input")
+    hull = build_hull(config, args.tol_coplanar) if args.render == "svg" else None
     plan = _make_plan(args, config.dim)
     if args.cap_center is not None:
         dirs = sample_near(plan, _unit_direction(args.cap_center))
@@ -61,7 +62,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
     images = boundary_map.evaluate_batch_array(config, args.eps, dirs)
     fileio.write_points_csv(args.out, images)
     if args.render == "svg":
-        hull = build_hull(config, args.tol_coplanar)
         fileio.write_svg(_with_suffix(args.out, ".svg"), config, hull, images)
     elif args.render == "obj":
         fileio.write_obj_points(_with_suffix(args.out, ".obj"), images)

@@ -248,13 +248,19 @@ def test_cmd_approx_render_dimension_checked_before_writing(tmp_path, cube_csv, 
     out = tmp_path / "img.csv"
     assert main(["approx", cube_csv, "--out", str(out), "--render", "svg"]) == 2
     assert main(["approx", tri_csv, "--out", str(out), "--render", "obj"]) == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.csv", "tri.csv"]
+    # the svg needs the hull, so a degenerate input fails before the CSV too
+    write_points_csv(tmp_path / "col.csv", [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    assert main(["approx", str(tmp_path / "col.csv"), "--out", str(out), "--render", "svg"]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv", "cube.csv", "tri.csv"]
 
 
 def test_cap_radius_without_center_exit_2(tmp_path, cube_csv, capsys):
     out = tmp_path / "cap.csv"
     assert main(["approx", cube_csv, "--out", str(out), "--cap-radius", "0.3"]) == 2
     assert "--cap-radius" in capsys.readouterr().err
+    assert main(["approx", cube_csv, "--out", str(out), "--cap-center", "0,0,1",
+                 "--cap-radius", "0"]) == 2
+    assert "cap_radius must lie in (0, pi]" in capsys.readouterr().err
     assert not out.exists()
 
 
