@@ -17,6 +17,15 @@ its own rows of the result: ``log_c``, then the normalized weights, then the
 images, in blocks that fit the same two tile buffers.  The image sum runs
 coordinate-major over a transposed block of weights.
 
+In double precision most weights are exactly 0.0 at large n and small eps
+(92% at n = 1000, eps = 1e-2 on Gaussian points), since a row of ``log_c``
+that lies more than about 745 below the row maximum underflows in ``exp``.
+When only the images are wanted and the tiles are row-sliced, the kernel
+bounds every row of a direction from its projection rank, fills the top row
+and the rows whose bound can reach it, and leaves -inf in the others, so the
+weights and images are bitwise those of the full fill.  :func:`weights` and
+:func:`weights_batch_array` fill every row.
+
 Each array operation is independent per ``(k, i)`` row and sums in a fixed
 order: the dots add coordinate by coordinate, each log row and weight row is
 summed whole, and each image coordinate adds its n terms in point order.  So
@@ -39,6 +48,12 @@ from .geom_core import UNIT_NORM_TOL, PointConfiguration, unit_vector
 MAX_POINTS = 1000
 MAX_DIM = 6
 _CHUNK_BUDGET = 65_536  # floats per tile buffer; a run's two buffers fit in a 2 MiB L2
+# exp underflows to exactly 0.0 below -1075 log(2) = -745.1332; the remaining
+# 0.87 covers the rounding of a row bound and of the log sums, under 1e-6 at n <= 1000
+_UNDERFLOW_MARGIN = 746.0
+# projections within this share of max|x| count as ties in the row bound; the
+# rounding of a projection and of a pair's dot is under 2e-14 max|x|
+_TIE_SPAN = 1e-10
 
 
 def _cpu_count() -> int:
@@ -75,7 +90,13 @@ if hasattr(os, "register_at_fork"):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Barycentric weights of one direction: lambdas sum to 1, each in (0, 1)."""
+    """Barycentric weights of one direction: lambdas sum to 1, each in [0, 1].
+
+    Every weight is positive in exact arithmetic, but a weight whose ``log_c``
+    lies more than about 745 below the largest underflows to exactly 0.0 (92%
+    of them at n = 1000, eps = 1e-2 on Gaussian points); ``log_c`` keeps the
+    exact information.
+    """
 
     epsilon: float
     direction: np.ndarray
@@ -127,34 +148,115 @@ def _tile_shape(n: int) -> tuple[int, int]:
     return 1, max(1, _CHUNK_BUDGET // n)
 
 
-def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b):
+def _log_sums(dots, eps, diag, out):
+    """``out`` = row sums over the last axis of ``log(eps + max(0, -dots))``, with
+    ``log(1) = 0`` at the ``diag`` positions of ``dots`` viewed as (len, -1)."""
+    # eps - min(0, dot) is exactly eps + max(0, -dot)
+    np.minimum(dots, 0.0, out=dots)
+    np.subtract(eps, dots, out=dots)
+    dots.reshape(len(dots), -1)[diag] = 1.0  # log(1) = 0 stands in for j = i
+    np.log(dots, out=dots)
+    np.sum(dots, axis=2, out=out)
+
+
+def _fill_rows(planes, eps, u, idx, buf_a, buf_b):
+    """Log sums of the gathered rows ``idx``, row r for the direction ``u[r]``.
+
+    Returns a view of ``buf_b``, valid until the buffers are used again.
+    """
+    d, n, _ = planes.shape
+    h = idx.size
+    dots = buf_a[:h * n].reshape(1, h, n)
+    term = buf_b[:h * n].reshape(1, h, n)
+    np.take(planes[0], idx, axis=0, out=dots[0], mode="clip")  # idx is in range; "raise" copies
+    dots[0] *= u[:, 0, None]
+    for c in range(1, d):
+        np.take(planes[c], idx, axis=0, out=term[0], mode="clip")
+        term[0] *= u[:, c, None]
+        dots += term
+    sums = buf_b[:h].reshape(1, h)
+    _log_sums(dots, eps, (0, idx + n * np.arange(h)), sums)
+    return sums[0]
+
+
+def _fill_bounded(points, planes, eps, dirs, lambdas, log_c, buf_a, buf_b):
+    """Fill the rows of ``log_c`` whose weight can be nonzero; the rest get -inf.
+
+    Row i's factor for a point j with ``<u, x_j> > <u, x_i> + delta`` is
+    exactly eps, because the kernel's dot for that pair is then positive;
+    every other factor is at most 1 + eps.  So with ``a`` such points,
+    ``log_c[i] <= a log(eps) + (n - 1 - a) log1p(eps)``.  A row whose bound
+    lies ``_UNDERFLOW_MARGIN`` below the computed top row (the point with the
+    largest projection) has ``exp(log_c[i] - max) == 0.0``, so its -inf gives
+    the same weight, and the row maximum is never skipped.  The rows of
+    ``lambdas`` and ``log_c`` hold the projections and their sorted copy until
+    the rows are filled.  ``dirs`` holds at most as many directions as a
+    tile holds rows, and the gathered tiles mix directions.
+    """
+    m, n = log_c.shape
+    every = np.arange(m)
+    delta = _TIE_SPAN * float(np.abs(points).max())
+    proj = np.matmul(dirs, points.T, out=lambdas)
+    tops = np.argmax(proj, axis=1)
+    top_log = _fill_rows(planes, eps, dirs, tops, buf_a, buf_b).copy()
+    # a row is filled when at most `most_above` points project above it, that
+    # is when it reaches the (most_above + 1)-th largest projection less delta
+    span = np.log1p(eps) - np.log(eps)
+    most_above = np.floor(((n - 1) * np.log1p(eps) - top_log + _UNDERFLOW_MARGIN) / span)
+    np.copyto(log_c, proj)
+    log_c.sort(axis=1)
+    cut = log_c[every, n - 1 - np.minimum(most_above, n - 1).astype(int)]
+    proj += delta
+    fill = proj >= cut[:, None]
+    fill[every, tops] = False
+    log_c.fill(-np.inf)
+    log_c[every, tops] = top_log
+    pairs = np.flatnonzero(fill)
+    height = buf_a.size // n
+    for p0 in range(0, pairs.size, height):
+        k, i = np.divmod(pairs[p0:p0 + height], n)
+        log_c[k, i] = _fill_rows(planes, eps, dirs[k], i, buf_a, buf_b)
+
+
+def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b, images_only):
     """Form rows ``k0:k1`` of ``out`` = (lambdas, log_c, images) in this run's two buffers.
 
-    ``log_c`` is filled tile by tile.  The weights and images are then formed
-    in blocks of m rows: the lambdas are copied transposed into ``buf_a`` as
-    (n, m), and ``buf_b`` holds the row maxima and sums, then the (d, m)
-    image sum and its (d, m) term.
+    ``log_c`` is filled tile by tile; with ``images_only``, row-sliced tiles
+    and an eps small enough for half of the rows to underflow, through
+    :func:`_fill_bounded`, which leaves -inf in the rows whose weight is
+    certain to be 0.0.  The weights and images
+    are then formed in blocks of m rows: the lambdas are copied transposed
+    into ``buf_a`` as (n, m), and ``buf_b`` holds the row maxima and sums,
+    then the (d, m) image sum and its (d, m) term.
     """
     lambdas, log_c, images = out
     d, n, _ = planes.shape
     rows, height = _tile_shape(n)
-    for ka in range(k0, k1, rows):
-        kb = min(ka + rows, k1)
-        block = dirs[ka:kb]
-        for i0 in range(0, n, height):
-            m, h = kb - ka, min(height, n - i0)
-            dots = buf_a[:m * h * n].reshape(m, h, n)
-            term = buf_b[:m * h * n].reshape(m, h, n)
-            np.multiply(block[:, 0, None, None], planes[0, i0:i0 + h], out=dots)
-            for c in range(1, d):
-                np.multiply(block[:, c, None, None], planes[c, i0:i0 + h], out=term)
-                dots += term
-            # eps - min(0, dot) is exactly eps + max(0, -dot)
-            np.minimum(dots, 0.0, out=dots)
-            np.subtract(eps, dots, out=dots)
-            dots.reshape(m, -1)[:, i0::n + 1] = 1.0  # log(1) = 0 stands in for j = i
-            np.log(dots, out=dots)
-            np.sum(dots, axis=2, out=log_c[ka:kb, i0:i0 + h])
+    # (n - 1) (log1p(eps) - log(eps)) is the widest a direction's log_c can
+    # spread.  A row with more than margin / (log1p(eps) - log(eps)) points
+    # above it may be skipped, so only when that spread reaches two margins can
+    # half of the rows go; below that the gathered fill costs more than it saves
+    bounded = (images_only and height < n
+               and (n - 1) * (np.log1p(eps) - np.log(eps)) >= 2 * _UNDERFLOW_MARGIN)
+    if bounded:
+        for ka in range(k0, k1, height):
+            kb = min(ka + height, k1)
+            _fill_bounded(points, planes, eps, dirs[ka:kb], lambdas[ka:kb], log_c[ka:kb],
+                          buf_a, buf_b)
+    else:
+        for ka in range(k0, k1, rows):
+            kb = min(ka + rows, k1)
+            block = dirs[ka:kb]
+            for i0 in range(0, n, height):
+                m, h = kb - ka, min(height, n - i0)
+                dots = buf_a[:m * h * n].reshape(m, h, n)
+                term = buf_b[:m * h * n].reshape(m, h, n)
+                np.multiply(block[:, 0, None, None], planes[0, i0:i0 + h], out=dots)
+                for c in range(1, d):
+                    np.multiply(block[:, c, None, None], planes[c, i0:i0 + h], out=term)
+                    dots += term
+                _log_sums(dots, eps, (slice(None), slice(i0, None, n + 1)),
+                          log_c[ka:kb, i0:i0 + h])
     block_rows = buf_a.size // max(n, 2 * d)
     for ka in range(k0, k1, block_rows):
         kb = min(ka + block_rows, k1)
@@ -179,7 +281,7 @@ def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b):
         images[ka:kb] = img_t.T
 
 
-def _eval_batch(points, pair_dirs, eps, dirs):
+def _eval_batch(points, pair_dirs, eps, dirs, images_only=False):
     """(lambdas, log_c, images) for a batch of unit directions.
 
     ``log_c[k, i]`` sums ``log(eps + max(0, -<dirs[k], pair_dirs[i, j]>))``
@@ -187,7 +289,9 @@ def _eval_batch(points, pair_dirs, eps, dirs):
     through a matrix product, whose blocking would make a row's rounding
     depend on the batch size.  The directions are cut into at most
     ``_WORKERS`` runs of whole tiles; each run forms its own rows of all
-    three results, and several runs go to the kernel pool.
+    three results, and several runs go to the kernel pool.  A caller that
+    keeps only the images passes ``images_only``: the lambdas and images are
+    unchanged, but ``log_c`` may hold -inf where a weight is exactly 0.0.
     """
     n, d = points.shape
     nb = dirs.shape[0]
@@ -202,9 +306,10 @@ def _eval_batch(points, pair_dirs, eps, dirs):
     tile = min(rows, -(-nb // runs)) * height * n
     bufs = np.empty((runs, 2, max(tile, n, 2 * d)))
     if runs == 1:
-        _run(planes, points, eps, dirs, out, 0, nb, *bufs[0])
+        _run(planes, points, eps, dirs, out, 0, nb, *bufs[0], images_only)
     else:
-        jobs = [_kernel_pool().submit(_run, planes, points, eps, dirs, out, a, b, *buf)
+        jobs = [_kernel_pool().submit(_run, planes, points, eps, dirs, out, a, b, *buf,
+                                      images_only)
                 for a, b, buf in zip(cuts, cuts[1:], bufs)]
         for job in jobs:
             job.result()
@@ -233,11 +338,11 @@ def weights(config: PointConfiguration, epsilon: float, direction) -> WeightVect
 
 
 def evaluate(config: PointConfiguration, epsilon: float, direction) -> MapImage:
-    """Map one direction to its image point, a strict interior point of the hull."""
+    """Map one direction to its image point, a weighted average of the points."""
     _validate(config, epsilon)
     d = unit_vector(direction)
     _, _, img = _eval_batch(
-        config.points, config.pairwise_dirs, epsilon, d[None, :]
+        config.points, config.pairwise_dirs, epsilon, d[None, :], images_only=True
     )
     return MapImage(direction=d, point=img[0])
 
@@ -250,26 +355,21 @@ def evaluate_batch_array(config: PointConfiguration, epsilon: float, dirs) -> np
     """
     _validate(config, epsilon)
     arr = _as_dir_batch(config, dirs)
-    if arr.shape[0] == 0:
-        return np.empty((0, config.dim))
-    _, _, img = _eval_batch(config.points, config.pairwise_dirs, epsilon, arr)
-    return img
+    return _eval_batch(config.points, config.pairwise_dirs, epsilon, arr, images_only=True)[2]
 
 
 def weights_batch_array(config: PointConfiguration, epsilon: float, dirs):
-    """(lambdas, log_c, images) arrays for a batch of directions."""
+    """(lambdas, log_c, images) arrays for a batch of directions; every ``log_c`` row is filled."""
     _validate(config, epsilon)
     arr = _as_dir_batch(config, dirs)
-    if arr.shape[0] == 0:
-        n = config.n_points
-        return np.empty((0, n)), np.empty((0, n)), np.empty((0, config.dim))
     return _eval_batch(config.points, config.pairwise_dirs, epsilon, arr)
 
 
 def evaluate_batch(config: PointConfiguration, epsilon: float, dirs) -> list[MapImage]:
     """Batch version of :func:`evaluate` returning one MapImage per direction."""
     arr = _as_dir_batch(config, dirs)
-    img = evaluate_batch_array(config, epsilon, arr)
+    _validate(config, epsilon)
+    img = _eval_batch(config.points, config.pairwise_dirs, epsilon, arr, images_only=True)[2]
     return [MapImage(direction=arr[k], point=img[k]) for k in range(arr.shape[0])]
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionUnsupportedError, NotOnBoundaryError
+from .boundary_map import MAX_POINTS
+from .errors import DimensionUnsupportedError, NotOnBoundaryError, TooManyPointsError
 from .geom_core import build_configuration, unit_vector
 from .hull_oracle import (
     Face,
@@ -179,7 +180,17 @@ def flattened_spherical_dual(hull: HullDescription) -> list:
 
 
 def outer_normal_transform(hull: HullDescription) -> HullDescription:
-    """Hull of the facet normal directions."""
+    """Hull of the facet normal directions.
+
+    It has one point per facet, so it raises TooManyPointsError for a hull
+    with more than ``MAX_POINTS`` facets (in d = 3 a simplicial hull of V
+    vertices has 2V - 4).
+    """
+    if len(hull.facets) > MAX_POINTS:
+        raise TooManyPointsError(
+            f"the facet normals' hull supports at most {MAX_POINTS} facets; "
+            f"this hull has {len(hull.facets)}"
+        )
     return build_hull(build_configuration(hull.normals))
 
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullmaps import boundary_map, build_configuration, c_factor, evaluate, evaluate_batch_array
+from hullmaps import (boundary_map, build_configuration, c_factor, evaluate, evaluate_batch,
+                      evaluate_batch_array, weights_batch_array)
 from hullmaps.boundary_map import _eval_batch
 from tests.serial_kernel import _eval_batch as serial_eval_batch
 
@@ -216,6 +217,86 @@ def test_one_direction_at_max_points_matches_serial():
     cfg = build_configuration(rng.standard_normal((1000, 3)))
     for eps in (1e-4, 1.0):
         _assert_matches_serial(cfg, eps, _unit_rows(rng, 1, 3))
+
+
+def _assert_images_match_serial(cfg, eps, dirs):
+    """The image-only kernel's lambdas and images equal the serial kernel's; returns its log_c."""
+    lam, log_c, img = _eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs, images_only=True)
+    want_lam, _, want_img = serial_eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
+    assert lam.tobytes() == want_lam.tobytes()
+    assert img.tobytes() == want_img.tobytes()
+    return log_c
+
+
+@pytest.mark.parametrize("n_points,count", [(257, 6), (400, 4), (1000, 3)])
+def test_skipped_rows_match_serial_bitwise(n_points, count):
+    """Rows left at -inf are exactly the rows whose weight is 0.0."""
+    rng = np.random.default_rng(n_points)
+    cfg = build_configuration(rng.standard_normal((n_points, 3)))
+    dirs = _unit_rows(rng, count, 3)
+    for eps in (1.0, 1e-1, 1e-2, 1e-4, 1e-8):
+        log_c = _assert_images_match_serial(cfg, eps, dirs)
+        assert not np.isnan(log_c).any()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("budget", [120, 7])
+def test_skipped_rows_with_small_tiles_match_serial(medium_config, dirs_batch, budget, workers,
+                                                    monkeypatch):
+    monkeypatch.setattr(boundary_map, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(boundary_map, "_WORKERS", workers)
+    # with 24 points, rows are skipped only when eps is below about 1e-28
+    log_c = _assert_images_match_serial(medium_config, 1e-30, dirs_batch[:30])
+    assert np.isinf(log_c).any()
+    big = build_configuration(np.random.default_rng(8).standard_normal((300, 3)))
+    log_c = _assert_images_match_serial(big, 1e-4, _unit_rows(np.random.default_rng(9), 4, 3))
+    assert np.isinf(log_c).any()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_skipped_rows_with_projection_ties_match_serial(offset):
+    """On a grid, axis and diagonal directions tie whole layers of points."""
+    axis = np.arange(8.0)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    cfg = build_configuration(grid + offset)
+    dirs = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for eps in (1e-2, 1e-8):
+        log_c = _assert_images_match_serial(cfg, eps, dirs)
+        assert np.isinf(log_c).any()
+
+
+def test_row_bound_is_exact_on_a_line_along_the_direction():
+    """Points on a line along the direction make every row bound exact.
+
+    At eps = 1/4 a row with ``a`` points above it has log weight ``-a log 5``:
+    the row with 462 above is the last whose weight is not 0.0, and the rows
+    with 464 or more lie below the 746 margin.
+    """
+    line = np.zeros((1000, 3))
+    line[:, 2] = np.arange(1000.0)
+    cfg = build_configuration(line)
+    up = np.array([[0.0, 0.0, 1.0]])
+    log_c = _assert_images_match_serial(cfg, 0.25, up)
+    lam = serial_eval_batch(cfg.points, cfg.pairwise_dirs, 0.25, up)[0][0]
+    assert lam[999 - 462] > 0.0 and lam[999 - 463] == 0.0
+    assert np.isinf(log_c[0, :999 - 463]).all() and np.isfinite(log_c[0, 999 - 463:]).all()
+
+
+def test_most_rows_skipped_at_max_points():
+    rng = np.random.default_rng(1001)
+    cfg = build_configuration(rng.standard_normal((1000, 3)))
+    dirs = _unit_rows(rng, 4, 3)
+    log_c = _assert_images_match_serial(cfg, 1e-2, dirs)
+    assert np.isfinite(log_c).mean() < 0.4
+    want = serial_eval_batch(cfg.points, cfg.pairwise_dirs, 1e-2, dirs)
+    assert evaluate_batch_array(cfg, 1e-2, dirs).tobytes() == want[2].tobytes()
+    assert [m.point.tobytes() for m in evaluate_batch(cfg, 1e-2, dirs)] == \
+        [row.tobytes() for row in want[2]]
+    assert evaluate(cfg, 1e-2, dirs[0]).point.tobytes() == want[2][0].tobytes()
+    # the weights keep every row of log_c
+    for got, full in zip(weights_batch_array(cfg, 1e-2, dirs), want):
+        assert np.isfinite(got).all() and got.tobytes() == full.tobytes()
 
 
 def _kernel_in_child(results, points, pair_dirs, dirs):

@@ -4,6 +4,7 @@ import pytest
 from hullmaps import (
     DimensionUnsupportedError,
     NotOnBoundaryError,
+    TooManyPointsError,
     boundary_distance,
     build_configuration,
     build_hull,
@@ -20,6 +21,8 @@ from hullmaps import (
     spherical_dual,
     w_set_contains,
 )
+from hullmaps.cli import main
+from hullmaps.fileio import write_points_csv
 from tests.conftest import random_configuration, truncated_tetrahedron_points
 
 
@@ -332,3 +335,17 @@ def test_dual_check_agreement_properties():
 def test_dual_check_requires_d3(square_hull):
     with pytest.raises(DimensionUnsupportedError):
         dual_combinatorics_check(square_hull)
+
+
+def test_normals_hull_names_the_facet_limit(tmp_path, capsys):
+    """600 sphere points are within the hull's limit, but their 1196 facet normals are not."""
+    v = np.random.default_rng(0).standard_normal((600, 3))
+    sphere = v / np.linalg.norm(v, axis=1, keepdims=True)
+    hull = build_hull(build_configuration(sphere))
+    assert len(hull.facets) == 1196
+    with pytest.raises(TooManyPointsError, match="at most 1000 facets; this hull has 1196"):
+        outer_normal_transform(hull)
+    src = tmp_path / "sphere.csv"
+    write_points_csv(src, sphere)
+    assert main(["dual", str(src), "--out", str(tmp_path / "dual.txt")]) == 2
+    assert "this hull has 1196" in capsys.readouterr().err
