@@ -230,13 +230,15 @@ def _assert_images_match_serial(cfg, eps, dirs):
 
 @pytest.mark.parametrize("n_points,count", [(257, 6), (400, 4), (1000, 3)])
 def test_skipped_rows_match_serial_bitwise(n_points, count):
-    """Rows left at -inf are exactly the rows whose weight is 0.0."""
+    """Every row left at -inf has weight 0.0 in the full fill; at eps = 1 none is."""
     rng = np.random.default_rng(n_points)
     cfg = build_configuration(rng.standard_normal((n_points, 3)))
     dirs = _unit_rows(rng, count, 3)
     for eps in (1.0, 1e-1, 1e-2, 1e-4, 1e-8):
         log_c = _assert_images_match_serial(cfg, eps, dirs)
         assert not np.isnan(log_c).any()
+        if eps == 1.0:
+            assert np.isfinite(log_c).all()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
