@@ -189,41 +189,32 @@ def _fill_bounded(points, planes, eps, dirs, lambdas, log_c, buf_a, buf_b):
     lies ``_UNDERFLOW_MARGIN`` below the computed top row (the point with the
     largest projection) has ``exp(log_c[i] - max) == 0.0``, so its -inf gives
     the same weight, and the row maximum is never skipped.  The rows of
-    ``lambdas`` hold the projections until the rows are filled.  ``dirs``
-    holds at most as many directions as a tile holds rows, and the gathered
-    tiles mix directions.
+    ``lambdas`` and ``log_c`` hold the projections and their sorted copy until
+    the rows are filled.  ``dirs`` holds at most as many directions as a
+    tile holds rows, and the gathered tiles mix directions.
     """
     m, n = log_c.shape
     every = np.arange(m)
     delta = _TIE_SPAN * float(np.abs(points).max())
-    proj = np.multiply(dirs[:, 0, None], points[:, 0], out=lambdas)
-    for c in range(1, points.shape[1]):
-        proj += np.multiply(dirs[:, c, None], points[:, c], out=log_c)
+    proj = np.matmul(dirs, points.T, out=lambdas)
     tops = np.argmax(proj, axis=1)
     top_log = _fill_rows(planes, eps, dirs, tops, buf_a, buf_b).copy()
-    # a row must be filled when at most `most_above` points project above it
+    # a row is filled when at most `most_above` points project above it, that
+    # is when it reaches the (most_above + 1)-th largest projection less delta
     span = np.log1p(eps) - np.log(eps)
     most_above = np.floor(((n - 1) * np.log1p(eps) - top_log + _UNDERFLOW_MARGIN) / span)
-    # bisect for a cut lo: it starts at the lowest projection and moves only to
-    # values with more than most_above projections at or above them, so a row
-    # projecting below lo - delta has too many above it; 40 halvings bring it
-    # within delta of the highest such value, since projections span at most
-    # 2 sqrt(d) max|x| < 2^40 delta
-    fill = np.empty((m, n), dtype=bool)
-    lo, hi = proj.min(axis=1), proj.max(axis=1)
-    for _ in range(40):
-        mid = (lo + hi) / 2
-        np.greater_equal(proj, mid[:, None], out=fill)
-        enough = np.count_nonzero(fill, axis=1) > most_above
-        lo, hi = np.where(enough, mid, lo), np.where(enough, hi, mid)
-    np.greater_equal(proj, (lo - delta)[:, None], out=fill)
+    np.copyto(log_c, proj)
+    log_c.sort(axis=1)
+    cut = log_c[every, n - 1 - np.minimum(most_above, n - 1).astype(int)]
+    proj += delta
+    fill = proj >= cut[:, None]
     fill[every, tops] = False
     log_c.fill(-np.inf)
     log_c[every, tops] = top_log
-    ks, rows = np.nonzero(fill)
+    pairs = np.flatnonzero(fill)
     height = buf_a.size // n
-    for p0 in range(0, rows.size, height):
-        k, i = ks[p0:p0 + height], rows[p0:p0 + height]
+    for p0 in range(0, pairs.size, height):
+        k, i = np.divmod(pairs[p0:p0 + height], n)
         log_c[k, i] = _fill_rows(planes, eps, dirs[k], i, buf_a, buf_b)
 
 
