@@ -6,7 +6,8 @@ products of these factors, and the map value is the weighted point average.
 Products are formed in the log domain so that moderate n stays well clear of
 underflow.
 
-Every public evaluator runs one NumPy kernel, :func:`_eval_batch`.  It fills
+Every public evaluator runs one NumPy kernel, :func:`_eval_batch`, on the
+configuration's coordinate-major ``pair_planes``, read in place.  It fills
 ``log_c`` in tiles of at most ``_CHUNK_BUDGET`` floats of (k, i, j) buffer:
 runs of whole direction rows while ``n*n`` fits, otherwise one direction and
 a slice of i rows.  The batch's directions are cut into one run per CPU in
@@ -281,13 +282,14 @@ def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b, images_only):
         images[ka:kb] = img_t.T
 
 
-def _eval_batch(points, pair_dirs, eps, dirs, images_only=False):
+def _eval_batch(points, planes, eps, dirs, images_only=False):
     """(lambdas, log_c, images) for a batch of unit directions.
 
-    ``log_c[k, i]`` sums ``log(eps + max(0, -<dirs[k], pair_dirs[i, j]>))``
-    over ``j != i``.  The dots accumulate coordinate by coordinate, never
-    through a matrix product, whose blocking would make a row's rounding
-    depend on the batch size.  The directions are cut into at most
+    ``log_c[k, i]`` sums ``log(eps + max(0, -<dirs[k], planes[:, i, j]>))``
+    over ``j != i``, for the configuration's (d, n, n) ``pair_planes``, read
+    in place, never copied.  The dots accumulate coordinate by coordinate,
+    never through a matrix product, whose blocking would make a row's
+    rounding depend on the batch size.  The directions are cut into at most
     ``_WORKERS`` runs of whole tiles; each run forms its own rows of all
     three results, and several runs go to the kernel pool.  A caller that
     keeps only the images passes ``images_only``: the lambdas and images are
@@ -295,7 +297,6 @@ def _eval_batch(points, pair_dirs, eps, dirs, images_only=False):
     """
     n, d = points.shape
     nb = dirs.shape[0]
-    planes = np.ascontiguousarray(np.moveaxis(pair_dirs, 2, 0))  # (d, n, n)
     out = np.empty((nb, n)), np.empty((nb, n)), np.empty((nb, d))
     rows, height = _tile_shape(n)
     runs = max(1, min(_WORKERS, -(-nb // rows)))
@@ -324,16 +325,15 @@ def c_factor(config: PointConfiguration, i: int, j: int, epsilon: float, n) -> f
     if i == j:
         raise ValueError("pair factor requires i != j")
     d = unit_vector(n)
-    return epsilon + max(0.0, -float(np.dot(d, config.pairwise_dirs[i, j])))
+    nij = np.ascontiguousarray(config.pairwise_dirs[i, j])  # BLAS rounds strided dots differently
+    return epsilon + max(0.0, -float(np.dot(d, nij)))
 
 
 def weights(config: PointConfiguration, epsilon: float, direction) -> WeightVector:
     """Normalized point weights for one direction (log-domain, underflow-safe)."""
     _validate(config, epsilon)
     d = unit_vector(direction)
-    lam, log_c, _ = _eval_batch(
-        config.points, config.pairwise_dirs, epsilon, d[None, :]
-    )
+    lam, log_c, _ = _eval_batch(config.points, config.pair_planes, epsilon, d[None, :])
     return WeightVector(epsilon=epsilon, direction=d, lambdas=lam[0], log_c=log_c[0])
 
 
@@ -342,7 +342,7 @@ def evaluate(config: PointConfiguration, epsilon: float, direction) -> MapImage:
     _validate(config, epsilon)
     d = unit_vector(direction)
     _, _, img = _eval_batch(
-        config.points, config.pairwise_dirs, epsilon, d[None, :], images_only=True
+        config.points, config.pair_planes, epsilon, d[None, :], images_only=True
     )
     return MapImage(direction=d, point=img[0])
 
@@ -355,21 +355,21 @@ def evaluate_batch_array(config: PointConfiguration, epsilon: float, dirs) -> np
     """
     _validate(config, epsilon)
     arr = _as_dir_batch(config, dirs)
-    return _eval_batch(config.points, config.pairwise_dirs, epsilon, arr, images_only=True)[2]
+    return _eval_batch(config.points, config.pair_planes, epsilon, arr, images_only=True)[2]
 
 
 def weights_batch_array(config: PointConfiguration, epsilon: float, dirs):
     """(lambdas, log_c, images) arrays for a batch of directions; every ``log_c`` row is filled."""
     _validate(config, epsilon)
     arr = _as_dir_batch(config, dirs)
-    return _eval_batch(config.points, config.pairwise_dirs, epsilon, arr)
+    return _eval_batch(config.points, config.pair_planes, epsilon, arr)
 
 
 def evaluate_batch(config: PointConfiguration, epsilon: float, dirs) -> list[MapImage]:
     """Batch version of :func:`evaluate` returning one MapImage per direction."""
     arr = _as_dir_batch(config, dirs)
     _validate(config, epsilon)
-    img = _eval_batch(config.points, config.pairwise_dirs, epsilon, arr, images_only=True)[2]
+    img = _eval_batch(config.points, config.pair_planes, epsilon, arr, images_only=True)[2]
     return [MapImage(direction=arr[k], point=img[k]) for k in range(arr.shape[0])]
 
 
@@ -382,11 +382,12 @@ def limit_factor(config: PointConfiguration, i: int, n) -> float:
     """
     _check_index(config, i)
     d = unit_vector(n)
+    row = np.ascontiguousarray(config.pairwise_dirs[i])  # BLAS rounds strided dots differently
     acc = 1.0
     for j in range(config.n_points):
         if j == i:
             continue
-        acc *= max(0.0, -float(np.dot(d, config.pairwise_dirs[i, j])))
+        acc *= max(0.0, -float(np.dot(d, row[j])))
         if acc == 0.0:
             return 0.0
     return acc

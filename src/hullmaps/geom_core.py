@@ -45,10 +45,15 @@ class AffineHyperplane:
 class PointConfiguration:
     """n labeled points in R^d with cached pairwise unit directions.
 
-    ``pairwise_dirs[i, j]`` is the unit vector from point i to point j; the
-    reverse entry equals its exact negation, so antisymmetry holds exactly
-    (a zero component is +0.0 in both entries).  Instances are immutable
-    after construction and safe to share across workers.
+    The table is held coordinate-major: ``pair_planes[c, i, j]`` is
+    coordinate c of the unit vector from point i to point j, one C-contiguous
+    (n, n) plane per coordinate, the layout the weight kernel reads.
+    ``pairwise_dirs`` is its (n, n, d) transpose view, ``pairwise_dirs[i, j]``
+    the whole vector; neither is a copy.  The reverse entry equals the exact
+    negation, so antisymmetry holds exactly (a zero component is +0.0 in
+    both entries), and the diagonal is zero.  Both arrays are read-only;
+    instances are immutable after construction and safe to share across
+    workers.
     """
 
     def __init__(self, raw_points, distinctness_tol: float | None = None):
@@ -64,26 +69,51 @@ class PointConfiguration:
         if not finite.all():
             raise ValueError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
 
-        diffs = pts[None, :, :] - pts[:, None, :]
-        dists = np.linalg.norm(diffs, axis=2)
+        if distinctness_tol is not None:
+            distinctness_tol = float(distinctness_tol)
+            if not (np.isfinite(distinctness_tol) and distinctness_tol >= 0.0):
+                raise ValueError(
+                    f"distinctness tolerance {distinctness_tol!r} must be finite and >= 0"
+                )
+
+        # diffs[c, i, j] = x_j[c] - x_i[c].  The squared distances add plane by
+        # plane in coordinate order, which rounds as the norm over the last axis
+        # of an (n, n, d) table does; the squares go through a block of rows so
+        # that no second (n, n) table is made
+        cols = np.ascontiguousarray(pts.T)
+        diffs = np.empty((d, n, n))
+        dists = np.empty((n, n))
+        step = max(1, 16_384 // n)  # rows per block: 128 KiB of squares
+        square = np.empty((min(step, n), n))
+        for i0 in range(0, n, step):
+            i1 = min(i0 + step, n)
+            for c in range(d):
+                plane = np.subtract(cols[c], cols[c, i0:i1, None], out=diffs[c, i0:i1])
+                if c == 0:
+                    np.multiply(plane, plane, out=dists[i0:i1])
+                else:
+                    dists[i0:i1] += np.multiply(plane, plane, out=square[:i1 - i0])
+        np.sqrt(dists, out=dists)
         diameter = float(dists.max())
         if distinctness_tol is None:
             distinctness_tol = DEFAULT_DISTINCTNESS_REL * diameter
-        off = dists + np.eye(n) * (diameter + 1.0)
-        imin = np.unravel_index(np.argmin(off), off.shape)
-        if off[imin] <= distinctness_tol:
+        np.fill_diagonal(dists, diameter + 1.0)
+        imin = np.unravel_index(np.argmin(dists), dists.shape)
+        if dists[imin] <= distinctness_tol:
             raise DuplicatePointsError(
                 f"points {imin[0]} and {imin[1]} coincide within {distinctness_tol!r}"
             )
 
+        # every distance is now positive, and the diagonal's 0.0 stays 0.0;
         # a - b == -(b - a) and the two norms are equal, so dividing the whole
         # table reproduces the exact negation in the reverse entries
-        dirs = np.divide(diffs, dists[:, :, None], out=diffs, where=dists[:, :, None] > 0.0)
+        diffs /= dists
 
         pts.setflags(write=False)
-        dirs.setflags(write=False)
+        diffs.setflags(write=False)
         self._points = pts
-        self._pairwise_dirs = dirs
+        self._pair_planes = diffs
+        self._pairwise_dirs = diffs.transpose(1, 2, 0)
         self._diameter = diameter
         self.distinctness_tol = float(distinctness_tol)
 
@@ -98,6 +128,10 @@ class PointConfiguration:
     @property
     def points(self) -> np.ndarray:
         return self._points
+
+    @property
+    def pair_planes(self) -> np.ndarray:
+        return self._pair_planes
 
     @property
     def pairwise_dirs(self) -> np.ndarray:

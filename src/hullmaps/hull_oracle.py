@@ -257,16 +257,26 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
                            containing_face, tol)
 
 
+def _tie_tol(hull: HullDescription, tie_tol: float | None) -> float:
+    """The given support-value tie tolerance, checked, or 1e-9 x diameter."""
+    if tie_tol is None:
+        return DEFAULT_TOL_REL * hull.diameter
+    tol = float(tie_tol)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tie tolerance {tie_tol!r} must be finite and >= 0")
+    return tol
+
+
 def classify_direction(hull: HullDescription, n, tie_tol: float | None = None) -> Face:
     """The unique face whose normal spherical polytope interior contains n.
 
     Computed as the face spanned by the support-function argmax within
     tie_tol.  Raises AmbiguousTieError if the maximizing set is not the
-    point set of a face.
+    point set of a face, and ValueError for a tie_tol that is not finite or
+    is negative.
     """
     d = unit_vector(n)
-    if tie_tol is None:
-        tie_tol = DEFAULT_TOL_REL * hull.diameter
+    tie_tol = _tie_tol(hull, tie_tol)
     s = hull.config.points @ d
     top = float(s.max())
     arg = np.flatnonzero(s >= top - tie_tol)
@@ -290,10 +300,10 @@ def classify_directions_bulk(hull: HullDescription, dirs, tie_tol: float | None 
 
     Returns the face id per direction, or -1 where the maximizing set is not
     a face (the ambiguous-tie case surfaced as an error by the scalar path).
+    Raises ValueError for a tie_tol that is not finite or is negative.
     """
     arr = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if tie_tol is None:
-        tie_tol = DEFAULT_TOL_REL * hull.diameter
+    tie_tol = _tie_tol(hull, tie_tol)
     s = arr @ hull.config.points.T
     top = s.max(axis=1)
     mask = s >= (top[:, None] - tie_tol)
@@ -319,7 +329,9 @@ def in_normal_spherical_polytope(config: PointConfiguration, i: int, n, strict: 
     if not (0 <= i < config.n_points):
         raise IndexOutOfRangeError(f"index {i} outside 0..{config.n_points - 1}")
     d = unit_vector(n)
-    dots = config.pairwise_dirs[i] @ d
+    # a contiguous copy of the row: BLAS rounds a product with the strided
+    # (n, n, d) view differently, which could flip the sign of a zero dot
+    dots = np.ascontiguousarray(config.pairwise_dirs[i]) @ d
     dots[i] = -1.0  # self entry is a zero vector; exclude it
     if strict:
         return bool(np.all(dots < 0.0))

@@ -45,7 +45,7 @@ def test_kernel_matches_direct_pair_products(n_points, dim):
     cfg = build_configuration(rng.standard_normal((n_points, dim)))
     dirs = _unit_rows(rng, 12, dim)
     for eps in (1e-3, 0.1, 1.0):
-        lam, log_c, img = _eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
+        lam, log_c, img = _eval_batch(cfg.points, cfg.pair_planes, eps, dirs)
         for k, direction in enumerate(dirs):
             factors = np.array([
                 [c_factor(cfg, i, j, eps, direction) for j in range(n_points) if j != i]
@@ -87,9 +87,9 @@ def test_random_splits_bitwise_and_normalized(seed, n_points, dim, count, eps, c
     rng = np.random.default_rng(seed)
     cfg = build_configuration(rng.standard_normal((n_points, dim)))
     dirs = _unit_rows(rng, count, dim)
-    whole = _eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
+    whole = _eval_batch(cfg.points, cfg.pair_planes, eps, dirs)
     bounds = [0, *sorted({c for c in cuts if c < count}), count]
-    pieces = [_eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs[a:b])
+    pieces = [_eval_batch(cfg.points, cfg.pair_planes, eps, dirs[a:b])
               for a, b in zip(bounds, bounds[1:]) if b > a]
     for full, part in zip(whole, zip(*pieces)):
         assert np.array_equal(full, np.vstack(part))
@@ -105,15 +105,15 @@ def test_repeat_calls_identical(medium_config, dirs_batch):
 def test_fallback_chunking_consistent(medium_config, dirs_batch, monkeypatch):
     """Chunk-size changes must not alter the kernel's output."""
     cfg = medium_config
-    ref = _eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
+    ref = _eval_batch(cfg.points, cfg.pair_planes, 1e-3, dirs_batch)
     monkeypatch.setattr("hullmaps.boundary_map._CHUNK_BUDGET", 24 * 24 * 7)  # force tiny chunks
-    tiny = _eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
+    tiny = _eval_batch(cfg.points, cfg.pair_planes, 1e-3, dirs_batch)
     for a, b in zip(ref, tiny):
         assert np.array_equal(a, b)
 
 
 def _assert_matches_serial(cfg, eps, dirs):
-    got = _eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
+    got = _eval_batch(cfg.points, cfg.pair_planes, eps, dirs)
     want = serial_eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -160,7 +160,7 @@ def test_concurrent_callers_share_one_pool(medium_config, dirs_batch, monkeypatc
     got = [None] * 4
 
     def call(slot):
-        got[slot] = _eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
+        got[slot] = _eval_batch(cfg.points, cfg.pair_planes, 1e-3, dirs_batch)
 
     callers = [threading.Thread(target=call, args=(slot,)) for slot in range(4)]
     interval = sys.getswitchinterval()
@@ -221,7 +221,7 @@ def test_one_direction_at_max_points_matches_serial():
 
 def _assert_images_match_serial(cfg, eps, dirs):
     """The image-only kernel's lambdas and images equal the serial kernel's; returns its log_c."""
-    lam, log_c, img = _eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs, images_only=True)
+    lam, log_c, img = _eval_batch(cfg.points, cfg.pair_planes, eps, dirs, images_only=True)
     want_lam, _, want_img = serial_eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
     assert lam.tobytes() == want_lam.tobytes()
     assert img.tobytes() == want_img.tobytes()
@@ -301,20 +301,20 @@ def test_most_rows_skipped_at_max_points():
         assert np.isfinite(got).all() and got.tobytes() == full.tobytes()
 
 
-def _kernel_in_child(results, points, pair_dirs, dirs):
-    results.put(_eval_batch(points, pair_dirs, 1e-3, dirs))
+def _kernel_in_child(results, points, planes, dirs):
+    results.put(_eval_batch(points, planes, 1e-3, dirs))
 
 
 def test_forked_child_starts_its_own_pool(medium_config, dirs_batch, monkeypatch):
     """A fork after the pool started must not wait on the parent's threads."""
     monkeypatch.setattr(boundary_map, "_WORKERS", 2)
     cfg = medium_config
-    want = _eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
+    want = _eval_batch(cfg.points, cfg.pair_planes, 1e-3, dirs_batch)
     assert boundary_map._pool is not None
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     child = ctx.Process(target=_kernel_in_child,
-                        args=(results, cfg.points, cfg.pairwise_dirs, dirs_batch))
+                        args=(results, cfg.points, cfg.pair_planes, dirs_batch))
     child.start()
     try:
         got = results.get(timeout=60)
