@@ -147,7 +147,11 @@ class PointConfiguration:
 
 def build_configuration(raw_points, distinctness_tol: float | None = None) -> PointConfiguration:
     """Build a configuration from raw coordinate vectors, rejecting duplicates
-    and non-finite coordinates."""
+    and non-finite coordinates.
+
+    Points closer than ``distinctness_tol`` (default 1e-9 x diameter) are
+    duplicates; a given tolerance must be finite and >= 0.
+    """
     rows = [np.atleast_1d(np.asarray(p, dtype=float)) for p in raw_points]
     if not rows:
         raise ValueError("a configuration needs at least two points")

@@ -293,6 +293,14 @@ def test_malformed_number_lists_exit_2(tmp_path, cube_csv, capsys):
                  "--cap-radius", "0.3"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["-1", "nan"])
+def test_bad_distinctness_tolerance_exit_2(tmp_path, cube_csv, bad):
+    out = tmp_path / "o.csv"
+    assert main(["approx", cube_csv, "--out", str(out), "--tol-distinct", bad]) == 2
+    assert main(["hull", cube_csv, "--out", str(out), "--tol-distinct", bad]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_points_exit_2(tmp_path, bad):
     src = tmp_path / "p.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from hullmaps import (
     write_points_csv,
 )
 from hullmaps.geom_core import AffineHyperplane
+from tests.pair_table import pair_table
+
+TABLE_SIZES = [(1000, 3), (200, 6), (20, 3), (8, 2), (50, 4), (300, 5), (2, 1)]
 
 
 def test_axis_aligned_directions(triangle):
@@ -37,6 +42,70 @@ def test_near_duplicate_rejected_by_relative_tolerance():
 def test_non_finite_coordinates_rejected(bad):
     with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
         build_configuration([[0.0, 0.0], [1.0, 0.0], [0.5, bad], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_distinctness_tolerance_must_be_finite_and_nonnegative(bad):
+    repeated = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(ValueError, match="distinctness tolerance"):
+        build_configuration(repeated, bad)
+    with pytest.raises(ValueError, match="distinctness tolerance"):
+        build_configuration(repeated[:3], bad)
+
+
+def test_zero_distinctness_tolerance_rejects_only_exact_repeats():
+    with pytest.raises(DuplicatePointsError, match="points 1 and 3"):
+        build_configuration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], 0.0)
+    cfg = build_configuration([[0.0, 0.0], [1e-100, 0.0], [0.0, 1.0]], 0.0)
+    assert cfg.distinctness_tol == 0.0
+
+
+@pytest.mark.parametrize("n,d", TABLE_SIZES)
+def test_pair_table_matches_point_major_oracle(n, d):
+    rng = np.random.default_rng(1000 * n + d)
+    for scale, shift in [(1.0, 0.0), (3.7e-7, 2e-6), (2.5e5, -1e6)]:
+        pts = rng.standard_normal((n, d)) * scale + shift
+        cfg = build_configuration(pts)
+        dirs, diameter = pair_table(pts)
+        assert cfg.pairwise_dirs.tobytes() == dirs.tobytes()
+        assert cfg.diameter == diameter
+        planes = cfg.pair_planes
+        assert planes.shape == (d, n, n) and planes.flags.c_contiguous
+        assert not planes.flags.writeable and not cfg.pairwise_dirs.flags.writeable
+        assert cfg.pairwise_dirs.base is planes
+        # antisymmetric to the bit, with +0.0 in both entries of a zero component
+        assert np.array_equal(planes, -planes.transpose(0, 2, 1))
+        assert not np.signbit(planes[planes == 0.0]).any()
+
+
+@pytest.mark.parametrize("n,d", TABLE_SIZES)
+def test_duplicate_indices_match_point_major_oracle(n, d):
+    rng = np.random.default_rng(n + 10 * d)
+    for tol in (None, 1e-6):
+        pts = rng.standard_normal((n, d))
+        k, m = sorted(rng.choice(n, 2, replace=False))
+        pts[m] = pts[k] + (0.0 if tol is None else 1e-8)
+        with pytest.raises(DuplicatePointsError) as want:
+            pair_table(pts, tol)
+        with pytest.raises(DuplicatePointsError) as got:
+            build_configuration(pts, tol)
+        assert str(got.value) == str(want.value)
+        assert f"points {k} and {m} " in str(got.value)
+
+
+def test_build_keeps_one_distance_table_at_n_1000():
+    """The build holds the (d, n, n) table, one (n, n) distance table and
+    small row blocks; the point-major build peaked near 8 n^2 floats."""
+    n, d = 1000, 3
+    pts = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        cfg = build_configuration(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.n_points == n
+    assert peak < (d + 2) * n * n * 8
 
 
 def test_dimension_mismatch():

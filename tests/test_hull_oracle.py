@@ -185,6 +185,22 @@ def test_classify_ambiguous_tie(square_hull):
         classify_direction(square_hull, n, tie_tol=0.8)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+def test_tie_tolerance_must_be_finite_and_nonnegative(square_hull, bad):
+    n = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="tie tolerance"):
+        classify_direction(square_hull, n, tie_tol=bad)
+    with pytest.raises(ValueError, match="tie tolerance"):
+        classify_directions_bulk(square_hull, [n], tie_tol=bad)
+
+
+def test_zero_tie_tolerance_classifies(square_hull):
+    n = np.array([1.0, 0.0])
+    face = classify_direction(square_hull, n, tie_tol=0.0)
+    assert face.dim == 1
+    assert classify_directions_bulk(square_hull, [n], tie_tol=0.0).tolist() == [face.face_id]
+
+
 def test_in_nsp_examples(triangle):
     assert in_normal_spherical_polytope(triangle, 0, DIAG, strict=True)
     assert not in_normal_spherical_polytope(triangle, 0, [1.0, 0.0])

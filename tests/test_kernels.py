@@ -6,6 +6,7 @@ import queue
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullmaps import (boundary_map, build_configuration, c_factor, evaluate, evaluate_batch,
-                      evaluate_batch_array, weights_batch_array)
+                      evaluate_batch_array, weights, weights_batch_array)
 from hullmaps.boundary_map import _eval_batch
 from tests.serial_kernel import _eval_batch as serial_eval_batch
 
@@ -299,6 +300,49 @@ def test_most_rows_skipped_at_max_points():
     # the weights keep every row of log_c
     for got, full in zip(weights_batch_array(cfg, 1e-2, dirs), want):
         assert np.isfinite(got).all() and got.tobytes() == full.tobytes()
+
+
+def test_kernel_reads_the_pair_table_in_place(medium_config, dirs_batch, monkeypatch):
+    """Every evaluator hands the configuration's own planes to the kernel runs."""
+    monkeypatch.setattr(boundary_map, "_WORKERS", 2)
+    seen = []
+    run = boundary_map._run
+
+    def spy(planes, *args):
+        seen.append(planes)
+        return run(planes, *args)
+
+    monkeypatch.setattr(boundary_map, "_run", spy)
+    cfg = medium_config
+    evaluate(cfg, 1e-2, dirs_batch[0])
+    weights(cfg, 1e-2, dirs_batch[0])
+    evaluate_batch(cfg, 1e-2, dirs_batch[:3])
+    evaluate_batch_array(cfg, 1e-2, dirs_batch)
+    weights_batch_array(cfg, 1e-2, dirs_batch)
+    assert len(seen) == 7  # the two 500-direction batches take two runs each
+    for planes in seen:
+        assert planes.flags.c_contiguous and np.shares_memory(planes, cfg.pair_planes)
+
+
+def test_kernel_allocates_no_pair_table_sized_buffer(monkeypatch):
+    """At n = 1000 a 100-direction batch stays well below one (d, n, n) table.
+
+    Two runs fix the per-run tile buffers, which grow with the CPU count."""
+    monkeypatch.setattr(boundary_map, "_WORKERS", 2)
+    n, d = 1000, 3
+    rng = np.random.default_rng(5)
+    cfg = build_configuration(rng.standard_normal((n, d)))
+    dirs = rng.standard_normal((100, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    evaluate_batch_array(cfg, 1e-2, dirs[:2])  # start the pool outside the trace
+    tracemalloc.start()
+    try:
+        images = evaluate_batch_array(cfg, 1e-2, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(images).all()
+    assert peak < d * n * n * 8 / 2
 
 
 def _kernel_in_child(results, points, planes, dirs):
