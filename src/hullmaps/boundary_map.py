@@ -13,10 +13,13 @@ runs of whole direction rows while ``n*n`` fits, otherwise one direction and
 a slice of i rows.  The batch's directions are cut into one run per CPU in
 the process's affinity mask, and a thread pool, started by the first batch
 of more than one run, takes the runs; a batch of one run (every
-one-direction call among them) stays on the calling thread.  Each run forms
-its own rows of the result: ``log_c``, then the normalized weights, then the
-images, in blocks that fit the same two tile buffers.  The image sum runs
-coordinate-major over a transposed block of weights.
+one-direction call among them) stays on the calling thread.  A run finishes
+one block of rows (``log_c``, then the weights, then the images) before it
+starts the next, and when only images are wanted a block's ``log_c`` and
+weights live in per-run scratch, so no (N, n) array is made.  At small n,
+each coordinate's dots are one copy and one contiguous multiply with the
+planes tiled to the tile's direction count, a read-only copy made once per
+batch, since NumPy would copy a broadcast multiply through its ufunc buffer.
 
 In double precision most weights are exactly 0.0 at large n and small eps
 (92% at n = 1000, eps = 1e-2 on Gaussian points), since a row of ``log_c``
@@ -191,8 +194,8 @@ def _fill_bounded(points, planes, eps, dirs, lambdas, log_c, buf_a, buf_b):
     largest projection) has ``exp(log_c[i] - max) == 0.0``, so its -inf gives
     the same weight, and the row maximum is never skipped.  The rows of
     ``lambdas`` and ``log_c`` hold the projections and their sorted copy until
-    the rows are filled.  ``dirs`` holds at most as many directions as a
-    tile holds rows, and the gathered tiles mix directions.
+    the rows are filled.  ``dirs`` is one block, and the gathered tiles mix
+    its directions.
     """
     m, n = log_c.shape
     every = np.arange(m)
@@ -219,16 +222,39 @@ def _fill_bounded(points, planes, eps, dirs, lambdas, log_c, buf_a, buf_b):
         log_c[k, i] = _fill_rows(planes, eps, dirs[k], i, buf_a, buf_b)
 
 
-def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b, images_only):
-    """Form rows ``k0:k1`` of ``out`` = (lambdas, log_c, images) in this run's two buffers.
+def _weigh(points, log_c, lambdas, images, ka, buf_a, buf_b):
+    """Weights of a block's filled (m, n) ``log_c`` into ``lambdas``, and their
+    images into rows ``ka:ka+m``, summed over the (n, m) transposed weights."""
+    m, n = log_c.shape
+    d = points.shape[1]
+    per_row = buf_b[:m]
+    np.max(log_c, axis=1, out=per_row)
+    np.subtract(log_c, per_row[:, None], out=lambdas)
+    np.exp(lambdas, out=lambdas)
+    np.sum(lambdas, axis=1, out=per_row)
+    lambdas /= per_row[:, None]
+    # each image coordinate sums 0 + l_0 p_0 + l_1 p_1 + ... in point order;
+    # the (d, m) layout keeps every inner loop m long
+    lam_t = buf_a[:n * m].reshape(n, m)
+    np.copyto(lam_t, lambdas.T)
+    img_t = buf_b[:d * m].reshape(d, m)
+    term = buf_b[d * m:2 * d * m].reshape(d, m)
+    img_t.fill(0.0)
+    for i in range(n):
+        np.multiply(points[i, :, None], lam_t[i], out=term)
+        img_t += term
+    images[ka:ka + m] = img_t.T
 
-    ``log_c`` is filled tile by tile; with ``images_only``, row-sliced tiles
-    and an eps small enough for half of the rows to underflow, through
-    :func:`_fill_bounded`, which leaves -inf in the rows whose weight is
-    certain to be 0.0.  The weights and images
-    are then formed in blocks of m rows: the lambdas are copied transposed
-    into ``buf_a`` as (n, m), and ``buf_b`` holds the row maxima and sums,
-    then the (d, m) image sum and its (d, m) term.
+
+def _run(planes, tiled, points, eps, dirs, out, k0, k1, buf_a, buf_b, scratch):
+    """Form rows ``k0:k1`` of ``out`` = (lambdas, log_c, images), block by block.
+
+    A block is as many directions as a tile buffer holds weight rows: several
+    whole-row tiles, or ``height`` directions of row-sliced ones.  Its
+    ``log_c`` is filled tile by tile, or, with images only, row-sliced tiles
+    and an eps small enough for half of the rows to underflow, by
+    :func:`_fill_bounded`; :func:`_weigh` then forms its weights and images.
+    With images only, the block's rows live in the run's two ``scratch`` buffers.
     """
     lambdas, log_c, images = out
     d, n, _ = planes.shape
@@ -237,49 +263,33 @@ def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b, images_only):
     # spread.  A row with more than margin / (log1p(eps) - log(eps)) points
     # above it may be skipped, so only when that spread reaches two margins can
     # half of the rows go; below that the gathered fill costs more than it saves
-    bounded = (images_only and height < n
+    bounded = (scratch is not None and height < n
                and (n - 1) * (np.log1p(eps) - np.log(eps)) >= 2 * _UNDERFLOW_MARGIN)
-    if bounded:
-        for ka in range(k0, k1, height):
-            kb = min(ka + height, k1)
-            _fill_bounded(points, planes, eps, dirs[ka:kb], lambdas[ka:kb], log_c[ka:kb],
-                          buf_a, buf_b)
-    else:
-        for ka in range(k0, k1, rows):
-            kb = min(ka + rows, k1)
-            block = dirs[ka:kb]
-            for i0 in range(0, n, height):
-                m, h = kb - ka, min(height, n - i0)
-                dots = buf_a[:m * h * n].reshape(m, h, n)
-                term = buf_b[:m * h * n].reshape(m, h, n)
-                np.multiply(block[:, 0, None, None], planes[0, i0:i0 + h], out=dots)
-                for c in range(1, d):
-                    np.multiply(block[:, c, None, None], planes[c, i0:i0 + h], out=term)
-                    dots += term
-                _log_sums(dots, eps, (slice(None), slice(i0, None, n + 1)),
-                          log_c[ka:kb, i0:i0 + h])
-    block_rows = buf_a.size // max(n, 2 * d)
-    for ka in range(k0, k1, block_rows):
-        kb = min(ka + block_rows, k1)
-        m = kb - ka
-        lc, lam = log_c[ka:kb], lambdas[ka:kb]
-        per_row = buf_b[:m]
-        np.max(lc, axis=1, out=per_row)
-        np.subtract(lc, per_row[:, None], out=lam)
-        np.exp(lam, out=lam)
-        np.sum(lam, axis=1, out=per_row)
-        lam /= per_row[:, None]
-        # each image coordinate sums 0 + l_0 p_0 + l_1 p_1 + ... in point order;
-        # the (d, m) layout keeps every inner loop m long
-        lam_t = buf_a[:n * m].reshape(n, m)
-        np.copyto(lam_t, lam.T)
-        img_t = buf_b[:d * m].reshape(d, m)
-        term = buf_b[d * m:2 * d * m].reshape(d, m)
-        img_t.fill(0.0)
-        for i in range(n):
-            np.multiply(points[i, :, None], lam_t[i], out=term)
-            img_t += term
-        images[ka:kb] = img_t.T
+    block = buf_a.size // max(n, 2 * d)
+    for ka in range(k0, k1, block):
+        kb = min(ka + block, k1)
+        lam, lc = ((lambdas[ka:kb], log_c[ka:kb]) if scratch is None
+                   else (s[:(kb - ka) * n].reshape(kb - ka, n) for s in scratch))
+        if bounded:
+            _fill_bounded(points, planes, eps, dirs[ka:kb], lam, lc, buf_a, buf_b)
+        else:
+            for ta in range(ka, kb, rows):
+                tile = dirs[ta:min(ta + rows, kb)]
+                for i0 in range(0, n, height):
+                    m, h = len(tile), min(height, n - i0)
+                    dots = buf_a[:m * h * n].reshape(m, h, n)
+                    term = buf_b[:m * h * n].reshape(m, h, n)
+                    for c in range(d):
+                        part, coord = term if c else dots, tile[:, c, None, None]
+                        if tiled.shape[1] > 1:  # copied, then multiplied contiguously
+                            np.copyto(part, coord)
+                            coord = part
+                        np.multiply(coord, tiled[c, :m, i0:i0 + h], out=part)
+                        if c:
+                            dots += term
+                    _log_sums(dots, eps, (slice(None), slice(i0, None, n + 1)),
+                              lc[ta - ka:ta - ka + m, i0:i0 + h])
+        _weigh(points, lc, lam, images, ka, buf_a, buf_b)
 
 
 def _eval_batch(points, planes, eps, dirs, images_only=False):
@@ -287,31 +297,38 @@ def _eval_batch(points, planes, eps, dirs, images_only=False):
 
     ``log_c[k, i]`` sums ``log(eps + max(0, -<dirs[k], planes[:, i, j]>))``
     over ``j != i``, for the configuration's (d, n, n) ``pair_planes``, read
-    in place, never copied.  The dots accumulate coordinate by coordinate,
-    never through a matrix product, whose blocking would make a row's
-    rounding depend on the batch size.  The directions are cut into at most
-    ``_WORKERS`` runs of whole tiles; each run forms its own rows of all
-    three results, and several runs go to the kernel pool.  A caller that
-    keeps only the images passes ``images_only``: the lambdas and images are
-    unchanged, but ``log_c`` may hold -inf where a weight is exactly 0.0.
+    in place.  The dots accumulate coordinate by coordinate, never through a
+    matrix product, whose blocking would make a row's rounding depend on the
+    batch size.  The directions are cut into at most ``_WORKERS`` runs of
+    whole tiles, and several runs go to the kernel pool.  With
+    ``images_only`` lambdas and log_c are None, and a run's scratch holds one
+    block of them.
     """
     n, d = points.shape
     nb = dirs.shape[0]
-    out = np.empty((nb, n)), np.empty((nb, n)), np.empty((nb, d))
     rows, height = _tile_shape(n)
     runs = max(1, min(_WORKERS, -(-nb // rows)))
     cuts = [nb * r // runs for r in range(runs + 1)]
-    # one allocation on the calling thread, big enough for a tile and for a
-    # weight block of at least one row; buffers made by the workers raised
-    # the sweep's peak RSS
-    tile = min(rows, -(-nb // runs)) * height * n
-    bufs = np.empty((runs, 2, max(tile, n, 2 * d)))
+    per_run = -(-nb // runs)
+    per_tile = min(rows, per_run)
+    tiled = planes[:, None]
+    # NumPy copies a multiply broadcast over three or more (n, n) planes through
+    # its ufunc buffer, at twice the cost of a copy and a contiguous multiply
+    if per_tile > 1 and 3 * n * n <= np.getbufsize():
+        tiled = np.repeat(tiled, per_tile, axis=1)  # at most d x _CHUNK_BUDGET floats
+        tiled.flags.writeable = False
+    # made on the calling thread: buffers made by the workers raised the sweep's peak RSS
+    size = max(per_tile * height * n, n, 2 * d)
+    bufs = np.empty((runs, 2, size))
+    images = np.empty((nb, d))
+    out = (None, None, images) if images_only else (np.empty((nb, n)), np.empty((nb, n)), images)
+    scratch = (np.empty((runs, 2, min(size // max(n, 2 * d), per_run) * n)) if images_only
+               else [None] * runs)
     if runs == 1:
-        _run(planes, points, eps, dirs, out, 0, nb, *bufs[0], images_only)
+        _run(planes, tiled, points, eps, dirs, out, 0, nb, *bufs[0], scratch[0])
     else:
-        jobs = [_kernel_pool().submit(_run, planes, points, eps, dirs, out, a, b, *buf,
-                                      images_only)
-                for a, b, buf in zip(cuts, cuts[1:], bufs)]
+        jobs = [_kernel_pool().submit(_run, planes, tiled, points, eps, dirs, out, a, b, *buf, sc)
+                for a, b, buf, sc in zip(cuts, cuts[1:], bufs, scratch)]
         for job in jobs:
             job.result()
     return out
@@ -341,9 +358,7 @@ def evaluate(config: PointConfiguration, epsilon: float, direction) -> MapImage:
     """Map one direction to its image point, a weighted average of the points."""
     _validate(config, epsilon)
     d = unit_vector(direction)
-    _, _, img = _eval_batch(
-        config.points, config.pair_planes, epsilon, d[None, :], images_only=True
-    )
+    img = _eval_batch(config.points, config.pair_planes, epsilon, d[None, :], images_only=True)[2]
     return MapImage(direction=d, point=img[0])
 
 

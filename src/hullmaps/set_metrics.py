@@ -123,10 +123,17 @@ def arctan_family(x, eps: float):
 
 
 def _min_dists(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-point exact distance to the nearest target point."""
+    """Per-point exact distance to the nearest target point.
+
+    The tree splits at sliding midpoints and does not shrink its node boxes
+    to the data: on sweep image sets that builds and queries in about two
+    thirds of the default tree's time, and the query is as exact, so the
+    distances are the same.
+    """
     pts = np.atleast_2d(pts)
     targets = np.atleast_2d(targets)
-    dists, _ = cKDTree(targets).query(pts, k=1)
+    tree = cKDTree(targets, balanced_tree=False, compact_nodes=False)
+    dists, _ = tree.query(pts, k=1)
     return np.asarray(dists, dtype=float)
 
 

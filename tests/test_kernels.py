@@ -114,10 +114,12 @@ def test_fallback_chunking_consistent(medium_config, dirs_batch, monkeypatch):
 
 
 def _assert_matches_serial(cfg, eps, dirs):
+    """Both the full kernel and the streamed image-only one equal the serial kernel."""
     got = _eval_batch(cfg.points, cfg.pair_planes, eps, dirs)
     want = serial_eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert evaluate_batch_array(cfg, eps, dirs).tobytes() == want[2].tobytes()
 
 
 @pytest.mark.parametrize("n_points,dim,count", [
@@ -213,6 +215,38 @@ def test_more_coordinates_than_points_match_serial(n_points, dim, count):
         _assert_matches_serial(cfg, eps, dirs)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("budget", [120, 7, 65_536])
+@pytest.mark.parametrize("n_points,dim", [(2, 1), (12, 1), (3, 6), (20, 6), (20, 3)])
+def test_tiled_planes_match_serial(n_points, dim, budget, workers, monkeypatch):
+    """Whole-row tiles of several directions multiply a read-only tiled copy
+    of the planes; 500 directions end every run with a partial tile."""
+    monkeypatch.setattr(boundary_map, "_CHUNK_BUDGET", budget)
+    monkeypatch.setattr(boundary_map, "_WORKERS", workers)
+    seen = []
+    run = boundary_map._run
+
+    def spy(planes, tiled, *args):
+        seen.append(tiled)
+        return run(planes, tiled, *args)
+
+    monkeypatch.setattr(boundary_map, "_run", spy)
+    rng = np.random.default_rng(13 * n_points + dim)
+    cfg = build_configuration(rng.standard_normal((n_points, dim)))
+    dirs = _unit_rows(rng, 500, dim)
+    rows, _ = boundary_map._tile_shape(n_points)
+    runs = min(workers, -(-500 // rows))
+    assert rows == 1 or all(np.diff([500 * r // runs for r in range(runs + 1)]) % rows)
+    _assert_matches_serial(cfg, 1e-3, dirs)
+    per_tile = min(rows, -(-500 // runs))
+    for tiled in seen:
+        if per_tile > 1 and 3 * n_points ** 2 <= np.getbufsize():
+            assert tiled.shape == (dim, per_tile, n_points, n_points)
+            assert not tiled.flags.writeable
+        else:
+            assert np.shares_memory(tiled, cfg.pair_planes)
+
+
 def test_one_direction_at_max_points_matches_serial():
     rng = np.random.default_rng(1000)
     cfg = build_configuration(rng.standard_normal((1000, 3)))
@@ -220,9 +254,30 @@ def test_one_direction_at_max_points_matches_serial():
         _assert_matches_serial(cfg, eps, _unit_rows(rng, 1, 3))
 
 
+def _image_only_kernel(cfg, eps, dirs):
+    """(lambdas, log_c, images) of the image-only kernel, lambdas and log_c
+    gathered from the blocks that each run weighs in its scratch."""
+    blocks = []
+    weigh = boundary_map._weigh
+
+    def spy(points, log_c, lambdas, images, ka, *bufs):
+        weigh(points, log_c, lambdas, images, ka, *bufs)
+        blocks.append((ka, lambdas.copy(), log_c.copy()))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boundary_map, "_weigh", spy)
+        lam, log_c, img = _eval_batch(cfg.points, cfg.pair_planes, eps, dirs, images_only=True)
+    assert lam is None and log_c is None
+    blocks.sort(key=lambda block: block[0])
+    starts = np.cumsum([0] + [len(block[1]) for block in blocks])
+    assert [block[0] for block in blocks] == list(starts[:-1]) and starts[-1] == len(dirs)
+    return (np.vstack([block[1] for block in blocks]), np.vstack([block[2] for block in blocks]),
+            img)
+
+
 def _assert_images_match_serial(cfg, eps, dirs):
     """The image-only kernel's lambdas and images equal the serial kernel's; returns its log_c."""
-    lam, log_c, img = _eval_batch(cfg.points, cfg.pair_planes, eps, dirs, images_only=True)
+    lam, log_c, img = _image_only_kernel(cfg, eps, dirs)
     want_lam, _, want_img = serial_eval_batch(cfg.points, cfg.pairwise_dirs, eps, dirs)
     assert lam.tobytes() == want_lam.tobytes()
     assert img.tobytes() == want_img.tobytes()
@@ -343,6 +398,28 @@ def test_kernel_allocates_no_pair_table_sized_buffer(monkeypatch):
         tracemalloc.stop()
     assert np.isfinite(images).all()
     assert peak < d * n * n * 8 / 2
+
+
+def test_image_only_kernel_allocates_no_weight_table(monkeypatch):
+    """At n = 20 a 100,000-direction image batch keeps one block of weights
+    per run; one (N, n) table alone would take 15.3 MiB."""
+    monkeypatch.setattr(boundary_map, "_WORKERS", 2)
+    rng = np.random.default_rng(12)
+    cfg = build_configuration(rng.standard_normal((20, 3)))
+    dirs = _unit_rows(rng, 100_000, 3)
+    evaluate_batch_array(cfg, 1e-3, dirs[:400])  # start the pool outside the trace
+    tracemalloc.start()
+    try:
+        images = evaluate_batch_array(cfg, 1e-3, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(images).all()
+    assert peak < 10 * 2**20
+    lam, log_c, full_images = weights_batch_array(cfg, 1e-3, dirs)
+    assert lam.shape == log_c.shape == (100_000, 20)
+    assert np.isfinite(lam).all() and np.isfinite(log_c).all()
+    assert full_images.tobytes() == images.tobytes()
 
 
 def _kernel_in_child(results, points, planes, dirs):

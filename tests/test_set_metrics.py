@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hullmaps import (
     CapFocus,
@@ -10,6 +11,7 @@ from hullmaps import (
     SamplingExhaustedError,
     arctan_family,
     build_configuration,
+    evaluate_batch_array,
     build_hull,
     concave_turn_indices,
     count_concave_runs,
@@ -18,10 +20,13 @@ from hullmaps import (
     face_limit_probe,
     graph_limit_demo,
     nonconvexity_probe,
+    sample,
+    sample_boundary,
     symmetric_hausdorff,
     theorem_sweep,
 )
 from hullmaps.errors import DimensionUnsupportedError
+from hullmaps.set_metrics import _min_dists, arc_tube_directions, cap_directions
 
 
 def test_directed_single_pair():
@@ -64,6 +69,26 @@ def test_symmetric_matches_brute_force():
     d_ab = max(min(np.linalg.norm(x - y) for y in b) for x in a)
     d_ba = max(min(np.linalg.norm(x - y) for y in a) for x in b)
     assert symmetric_hausdorff(a, b) == pytest.approx(max(d_ab, d_ba), abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_inner_distances_equal_default_tree_and_brute_force(eps):
+    """On a sweep's image set the inner-distance tree gives the default tree's
+    distances bitwise, and a brute-force scan's within 1e-15 of the diameter."""
+    rng = np.random.default_rng(17)
+    cfg = build_configuration(rng.standard_normal((20, 3)))
+    hull = build_hull(cfg)
+    dirs = np.vstack([sample(SamplePlan(dim=3, strategy="fibonacci_3d", count=1250))] + [
+        cap_directions(3, facet.outward_normal, eps, 0.5, 375, 188, 1 + 97 * k)
+        for k, facet in enumerate(hull.facets)
+    ] + [arc_tube_directions(hull, eps)])
+    images = evaluate_batch_array(cfg, eps, dirs)
+    assert len(images) > 30_000
+    boundary, _ = sample_boundary(hull, 20, seed=1234)
+    got = _min_dists(boundary, images)
+    assert got.tobytes() == cKDTree(images).query(boundary, k=1)[0].tobytes()
+    brute = np.array([np.sqrt(((images - p) ** 2).sum(axis=1)).min() for p in boundary])
+    assert np.abs(got - brute).max() <= 1e-15 * cfg.diameter
 
 
 def test_hausdorff_metric_axioms():
