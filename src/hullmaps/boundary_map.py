@@ -358,7 +358,9 @@ def evaluate(config: PointConfiguration, epsilon: float, direction) -> MapImage:
     """Map one direction to its image point, a weighted average of the points."""
     _validate(config, epsilon)
     d = unit_vector(direction)
-    img = _eval_batch(config.points, config.pair_planes, epsilon, d[None, :], images_only=True)[2]
+    _, _, img = _eval_batch(
+        config.points, config.pair_planes, epsilon, d[None, :], images_only=True
+    )
     return MapImage(direction=d, point=img[0])
 
 

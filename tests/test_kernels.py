@@ -220,7 +220,7 @@ def test_more_coordinates_than_points_match_serial(n_points, dim, count):
 @pytest.mark.parametrize("n_points,dim", [(2, 1), (12, 1), (3, 6), (20, 6), (20, 3)])
 def test_tiled_planes_match_serial(n_points, dim, budget, workers, monkeypatch):
     """Whole-row tiles of several directions multiply a read-only tiled copy
-    of the planes; 500 directions end every run with a partial tile."""
+    of the planes, and every run of whole-row tiles ends with a partial tile."""
     monkeypatch.setattr(boundary_map, "_CHUNK_BUDGET", budget)
     monkeypatch.setattr(boundary_map, "_WORKERS", workers)
     seen = []
@@ -233,12 +233,14 @@ def test_tiled_planes_match_serial(n_points, dim, budget, workers, monkeypatch):
     monkeypatch.setattr(boundary_map, "_run", spy)
     rng = np.random.default_rng(13 * n_points + dim)
     cfg = build_configuration(rng.standard_normal((n_points, dim)))
-    dirs = _unit_rows(rng, 500, dim)
+    count = 500 if budget == 65_536 else 97  # 163 rows at n = 20, 30 at n = 2 and 120
+    dirs = _unit_rows(rng, count, dim)
     rows, _ = boundary_map._tile_shape(n_points)
-    runs = min(workers, -(-500 // rows))
-    assert rows == 1 or all(np.diff([500 * r // runs for r in range(runs + 1)]) % rows)
+    runs = min(workers, -(-count // rows))
+    assert rows == 1 or all(np.diff([count * r // runs for r in range(runs + 1)]) % rows)
     _assert_matches_serial(cfg, 1e-3, dirs)
-    per_tile = min(rows, -(-500 // runs))
+    per_tile = min(rows, -(-count // runs))
+    assert len(seen) == 2 * runs  # the full kernel, then the image-only one
     for tiled in seen:
         if per_tile > 1 and 3 * n_points ** 2 <= np.getbufsize():
             assert tiled.shape == (dim, per_tile, n_points, n_points)

@@ -11,12 +11,12 @@ from hullmaps import (
     SamplingExhaustedError,
     arctan_family,
     build_configuration,
-    evaluate_batch_array,
     build_hull,
     concave_turn_indices,
     count_concave_runs,
     degenerate_limit_probe,
     directed_hausdorff,
+    evaluate_batch_array,
     face_limit_probe,
     graph_limit_demo,
     nonconvexity_probe,
