@@ -166,18 +166,28 @@ def _log_sums(dots, eps, diag, out):
 def _fill_rows(planes, eps, u, idx, buf_a, buf_b):
     """Log sums of the gathered rows ``idx``, row r for the direction ``u[r]``.
 
-    Returns a view of ``buf_b``, valid until the buffers are used again.
+    A direction's rows are consecutive.  When there are at most half as many
+    such runs as rows, each run is multiplied by its direction's coordinate
+    as a scalar, which NumPy does without the ufunc buffer that an (h, 1)
+    column broadcast over rows of n goes through.  Returns a view of
+    ``buf_b``, valid until the buffers are used again.
     """
     d, n, _ = planes.shape
     h = idx.size
     dots = buf_a[:h * n].reshape(1, h, n)
     term = buf_b[:h * n].reshape(1, h, n)
-    np.take(planes[0], idx, axis=0, out=dots[0], mode="clip")  # idx is in range; "raise" copies
-    dots[0] *= u[:, 0, None]
-    for c in range(1, d):
-        np.take(planes[c], idx, axis=0, out=term[0], mode="clip")
-        term[0] *= u[:, c, None]
-        dots += term
+    starts = [0, *(np.flatnonzero((u[1:] != u[:-1]).any(axis=1)) + 1).tolist()]
+    runs = list(zip(starts, starts[1:] + [h], u[starts].tolist()))
+    for c in range(d):
+        part = dots[0] if c == 0 else term[0]
+        np.take(planes[c], idx, axis=0, out=part, mode="clip")  # idx is in range; "raise" copies
+        if 2 * len(runs) > h:
+            part *= u[:, c, None]
+        else:
+            for a, b, coords in runs:
+                part[a:b] *= coords[c]
+        if c:
+            dots += term
     sums = buf_b[:h].reshape(1, h)
     _log_sums(dots, eps, (0, idx + n * np.arange(h)), sums)
     return sums[0]

@@ -3,6 +3,15 @@ and boundary queries.  Qhull proposes the facets, the configuration's own
 points fix them, and the face lattice is the closure of the facet point sets
 under intersection; in d >= 5 the face count, not n, sets the cost.
 
+The candidate facets are handled in batches.  Stacked fits: the point sets
+of one size (Qhull simplices, refit candidates, faces) share one
+``np.linalg.svd`` call on a (k, m, d) stack, for their affine rank and for
+their best-fit hyperplane.  Block slack tests: the orientation and
+membership tests ``|<pt, normal> - offset| <= tol`` of a block of candidates
+are one stacked matrix-vector product with the points, with at most
+``_SLACK_BLOCK`` floats in a block.  Both give the same bits as one call per
+candidate.
+
 Every face and boundary distance comes from one formula: for a face F and a
 point x, dist(x, F) = min |x - proj_aff(G)(x)| over the faces G of F (F
 included) whose projection passes the facet-slack test.  The nearest point of F
@@ -30,6 +39,7 @@ from .geom_core import PointConfiguration, is_nondegenerate, unit_vector
 
 DEFAULT_TOL_REL = 1e-9
 MAX_TRIES_PER_SAMPLE = 10_000  # rejection-sampling budget per requested sample
+_SLACK_BLOCK = 65_536  # floats in one block's slack table (candidates x points)
 
 
 @dataclass(frozen=True)
@@ -117,23 +127,106 @@ class HullDescription:
         return origin, basis
 
 
-def _affine_rank(pts: np.ndarray, tol_rel: float = 1e-9) -> int:
-    if pts.shape[0] < 2:
-        return 0
-    diffs = pts[1:] - pts[0]
-    sv = np.linalg.svd(diffs, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol_rel * sv[0]))
+def _by_length(sets) -> dict:
+    """Positions of the sequences in ``sets``, grouped by length."""
+    groups = {}
+    for k, s in enumerate(sets):
+        groups.setdefault(len(s), []).append(k)
+    return groups
 
 
-def _fit_hyperplane(pts: np.ndarray):
-    """Best-fit unit normal and offset through a point set of affine rank d-1."""
-    center = pts.mean(axis=0)
-    _, _, vh = np.linalg.svd(pts - center, full_matrices=True)
-    normal = vh[-1]
-    offset = float(np.dot(normal, center))
-    return normal, offset
+def _affine_ranks(pts: np.ndarray, sets, tol_rel: float = 1e-9) -> np.ndarray:
+    """Affine rank of the points of each sorted index tuple: the number of
+    singular values of the differences from the first point above tol_rel x
+    the largest, one stacked SVD per tuple length.  The points are distinct,
+    as a configuration's are, so one or two of them have rank 0 or 1."""
+    ranks = np.zeros(len(sets), dtype=int)
+    for m, where in _by_length(sets).items():
+        if m < 3:
+            ranks[where] = m - 1
+            continue
+        sub = pts[np.array([sets[k] for k in where])]
+        sv = np.linalg.svd(sub[:, 1:] - sub[:, :1], compute_uv=False)
+        ranks[where] = np.count_nonzero(sv > tol_rel * sv[:, :1], axis=1)
+    return ranks
+
+
+def _fit_hyperplanes(pts: np.ndarray, sets):
+    """Best-fit unit normals (k, d) and offsets (k,) through the points of each
+    sorted index tuple of affine rank d-1: per tuple length, one stacked SVD of
+    the centred points, whose last right singular vectors are the normals."""
+    normals = np.empty((len(sets), pts.shape[1]))
+    offsets = np.empty(len(sets))
+    for where in _by_length(sets).values():
+        sub = pts[np.array([sets[k] for k in where])]
+        center = sub.mean(axis=1)
+        _, _, vh = np.linalg.svd(sub - center[:, None], full_matrices=True)
+        normal = vh[:, -1]
+        normals[where] = normal
+        # a stack of (1, d) @ (d, 1) products is one dot per fit
+        offsets[where] = (normal[:, None] @ center[:, :, None])[:, 0, 0]
+    return normals, offsets
+
+
+def _supporting(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float):
+    """Slack tests of candidate hyperplanes against all points.
+
+    Returns, per candidate, whether every slack ``<pt, normal> - offset`` is
+    at most tol or every one at least -tol (the plane supports the points),
+    whether the normal must flip to face outward, and the sorted tuple of
+    points with ``|slack| <= tol``.  The slacks are formed a block of
+    candidates at a time, one stacked matrix-vector product per block, and a
+    block's table holds at most ``_SLACK_BLOCK`` floats.
+    """
+    step = max(1, _SLACK_BLOCK // pts.shape[0])
+    keep, flip, members = [], [], []
+    for start in range(0, len(offsets), step):
+        s = (pts @ normals[start:start + step, :, None])[:, :, 0]
+        s -= offsets[start:start + step, None]
+        hi, lo = s.max(axis=1) > tol, s.min(axis=1) < -tol
+        keep.extend((~(hi & lo)).tolist())
+        flip.extend(hi.tolist())
+        on = np.abs(s) <= tol
+        cols = np.nonzero(on)[1].tolist()
+        ends = np.cumsum(np.count_nonzero(on, axis=1)).tolist()
+        members.extend(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+    return keep, flip, members
+
+
+def _find_facets(pts: np.ndarray, tol: float) -> dict:
+    """{facet point set: (outward unit normal, offset)} of the hull of pts.
+
+    Each simplex of Qhull's triangulated boundary (in d = 1, each point) is a
+    candidate: its hyperplane is fitted and kept if it supports the points
+    within tol, then refitted over the points within tol of it, and the refit
+    is kept if it still supports them and those points have affine rank
+    d - 1.  Both rounds are batched: one stacked SVD per point-set size and
+    one slack product per block of candidates.
+    """
+    n, d = pts.shape
+    proposals = np.arange(n)[:, None] if d == 1 else np.sort(ConvexHull(pts).simplices, axis=1)
+    proposals = [tuple(p) for p in proposals.tolist()]
+    proposals = [p for p, r in zip(proposals, _affine_ranks(pts, proposals)) if r == d - 1]
+    keep, _, members = _supporting(pts, *_fit_hyperplanes(pts, proposals), tol)
+    candidate_sets = set()
+    for ok, s in zip(keep, members):
+        if ok:
+            candidate_sets.add(frozenset(s))
+
+    # refit each candidate over its full equality set, then re-extract the
+    # set; the set's iteration order decides which fit a repeated set keeps
+    cands = [tuple(sorted(c)) for c in candidate_sets]
+    normals, offsets = _fit_hyperplanes(pts, cands)
+    keep, flip, members = _supporting(pts, normals, offsets, tol)
+    normals[flip] = -normals[flip]
+    offsets[flip] = -offsets[flip]
+    kept = [k for k, ok in enumerate(keep) if ok]
+    ranks = _affine_ranks(pts, [members[k] for k in kept])
+    facet_data = {}
+    for k, r in zip(kept, ranks.tolist()):
+        if r == d - 1:
+            facet_data[frozenset(members[k])] = (normals[k], float(offsets[k]))
+    return facet_data
 
 
 def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> HullDescription:
@@ -142,6 +235,19 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
     Each simplex of Qhull's triangulated boundary (in d = 1, each point) is a
     candidate whose hyperplane is fitted, oriented outward and refitted over
     all points within ``coplanarity_tol`` of it (default 1e-9 x diameter).
+    The candidates are handled in batches, not one at a time:
+
+    - stacked fits: the rank SVDs and the hyperplane SVDs of all point sets
+      of one size are one ``np.linalg.svd`` call on a (k, m, d) stack;
+    - block slack tests: ``<pt, normal> - offset`` for a block of candidates
+      is one stacked matrix-vector product with the points, the block's table
+      capped at ``_SLACK_BLOCK`` floats so that memory does not grow with the
+      facet count.
+
+    NumPy's linalg gufunc runs the same LAPACK routine on each matrix of a
+    stack, and each slack row is the same BLAS product as for one candidate,
+    so the hull is bitwise the one a fit per candidate gives.
+
     Raises DegenerateConfigurationError if the points do not span R^d,
     TooManyPointsError beyond n <= MAX_POINTS, d <= MAX_DIM, and ValueError
     for a given tolerance that is not finite or is below
@@ -167,38 +273,7 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
             raise ValueError(f"coplanarity tolerance {coplanarity_tol!r} must be finite and at "
                              f"least {floor:.3g} (16 ulp of the largest |coordinate|)")
 
-    proposals = np.arange(n)[:, None] if d == 1 else np.sort(ConvexHull(pts).simplices, axis=1)
-    candidate_sets = set()
-    for combo in proposals:
-        sub = pts[combo]
-        if _affine_rank(sub) != d - 1:
-            continue
-        normal, offset = _fit_hyperplane(sub)
-        s = pts @ normal - offset
-        hi, lo = float(s.max()), float(s.min())
-        if hi <= tol:
-            pass
-        elif lo >= -tol:
-            normal, offset, s = -normal, -offset, -s
-        else:
-            continue
-        candidate_sets.add(frozenset(np.flatnonzero(np.abs(s) <= tol).tolist()))
-
-    # refit each candidate over its full equality set, then re-extract the set
-    facet_data = {}
-    for cand in candidate_sets:
-        sub = pts[sorted(cand)]
-        normal, offset = _fit_hyperplane(sub)
-        s = pts @ normal - offset
-        if float(s.max()) > tol:
-            if float(s.min()) < -tol:
-                continue
-            normal, offset, s = -normal, -offset, -s
-        members = frozenset(np.flatnonzero(np.abs(s) <= tol).tolist())
-        if _affine_rank(pts[sorted(members)]) != d - 1:
-            continue
-        facet_data[members] = (normal, offset)
-
+    facet_data = _find_facets(pts, tol)
     if not facet_data:
         raise DegenerateConfigurationError("no supporting facets found")
 
@@ -217,11 +292,15 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
                     for b in {f for p in a for f in facets_through[p]}} - face_sets
         face_sets |= frontier
 
-    dims = {s: _affine_rank(pts[sorted(s)]) for s in face_sets}
-    ordered = sorted(face_sets, key=lambda s: (dims[s], tuple(sorted(s))))
+    # the facets' ranks are known to be d - 1 from the check above
+    points_of = {s: tuple(sorted(s)) for s in face_sets}
+    lower = [s for s in face_sets if s not in facet_data]
+    dims = dict(zip(lower, _affine_ranks(pts, [points_of[s] for s in lower]).tolist()))
+    dims.update(dict.fromkeys(facet_data, d - 1))
+    ordered = sorted(face_sets, key=lambda s: (dims[s], points_of[s]))
     id_of = {s: k for k, s in enumerate(ordered)}
 
-    facets = [Facet(fid, tuple(sorted(s)), *facet_data[s])
+    facets = [Facet(fid, points_of[s], *facet_data[s])
               for fid, s in enumerate(ordered) if s in facet_data]
     facet_ids = {f.face_id for f in facets}
 
@@ -232,12 +311,13 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
             faces_through[p].add(fid)
     faces = []
     children = {fid: [] for fid in range(len(ordered))}
+    dim_of = [dims[s] for s in ordered]
     for fid, s in enumerate(ordered):
         above = set.intersection(*(faces_through[p] for p in s))
-        faces.append(Face(face_id=fid, dim=dims[s], vertex_indices=tuple(sorted(s)),
+        faces.append(Face(face_id=fid, dim=dim_of[fid], vertex_indices=points_of[s],
                           incident_facets=tuple(sorted(above & facet_ids))))
         for k in above:
-            if dims[ordered[k]] == dims[s] + 1:
+            if dim_of[k] == dim_of[fid] + 1:
                 children[k].append(fid)
     children = {fid: tuple(kids) for fid, kids in children.items()}
 

@@ -23,8 +23,10 @@ from .boundary_map import MAX_POINTS
 from .errors import DimensionUnsupportedError, NotOnBoundaryError, TooManyPointsError
 from .geom_core import build_configuration, unit_vector
 from .hull_oracle import (
+    _SLACK_BLOCK,
     Face,
     HullDescription,
+    _by_length,
     _face_within,
     _faces_below,
     _facet_distances,
@@ -145,25 +147,44 @@ def w_set_contains(hull: HullDescription, face_id: int, n, tie_tol: float | None
     return frozenset(g.vertex_indices) <= frozenset(face.vertex_indices)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[k], b[k])`` for each row k, bitwise: a stack of (1, d) @ (d, 1)
+    products is one BLAS dot per row, where a matrix product would round
+    differently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _stacks(hull: HullDescription, cells: list):
+    """Per cell size: the cells' indices in ``cells``, their (g, k) facet
+    positions and the (g, k, 3) normals of those facets."""
+    for where in _by_length(cells).values():
+        positions = np.array([cells[j] for j in where])
+        yield where, positions, hull.normals[positions]
+
+
 def _vertex_cells(hull: HullDescription) -> list:
     """(point index, facet positions) per hull vertex (d = 3): the positions of
     the facets through the vertex, their normals ordered by angle around the
-    cone axis."""
-    cells = []
-    for face in hull.faces_of_dim(0):
-        positions = np.asarray(hull.facet_positions(face.face_id))
-        gens = hull.normals[positions]
-        axis = gens.sum(axis=0)
-        nrm = np.linalg.norm(axis)
-        if nrm < 1e-12:
-            axis = np.cross(gens[0], gens[1])
-            nrm = np.linalg.norm(axis)
-        axis = axis / nrm
-        ref = gens[0] - np.dot(gens[0], axis) * axis
-        ref = ref / np.linalg.norm(ref)
+    cone axis.  The vertices with the same number of facets are handled as one
+    stack."""
+    vertices = hull.faces_of_dim(0)
+    cells = [None] * len(vertices)
+    for where, positions, gens in _stacks(hull, [hull.facet_positions(f.face_id)
+                                                 for f in vertices]):
+        axis = gens.sum(axis=1)
+        nrm = np.sqrt(_rowdot(axis, axis))
+        flat = nrm < 1e-12
+        if flat.any():
+            axis[flat] = np.cross(gens[flat, 0], gens[flat, 1])
+            nrm[flat] = np.sqrt(_rowdot(axis[flat], axis[flat]))
+        axis = axis / nrm[:, None]
+        ref = gens[:, 0] - _rowdot(gens[:, 0], axis)[:, None] * axis
+        ref = ref / np.sqrt(_rowdot(ref, ref))[:, None]
         perp = np.cross(axis, ref)
-        ang = np.arctan2(gens @ perp, gens @ ref)
-        cells.append((face.vertex_indices[0], positions[np.argsort(ang)]))
+        ang = np.arctan2((gens @ perp[:, :, None])[..., 0], (gens @ ref[:, :, None])[..., 0])
+        ordered = np.take_along_axis(positions, np.argsort(ang, axis=1), axis=1)
+        for j, row in zip(where, ordered):
+            cells[j] = (vertices[j].vertex_indices[0], row)
     return cells
 
 
@@ -215,20 +236,34 @@ def dual_combinatorics_check(hull: HullDescription,
         raise DimensionUnsupportedError("duality check is defined for d = 3")
 
     cells = [positions for _, positions in _vertex_cells(hull)]
+    # each cell's best-fit plane, the cells of one size as one stacked SVD
+    planes = np.empty((len(cells), 3))
+    offsets = np.empty(len(cells))
     flattened_convex = True
-    for positions in cells:
-        dirs = hull.normals[positions]
-        center = dirs.mean(axis=0)
-        _, sv, vh = np.linalg.svd(dirs - center, full_matrices=True)
-        normal = vh[-1]
-        offset = float(np.mean(dirs @ normal))
-        if offset < 0:
-            normal, offset = -normal, -offset
-        planar = float(np.abs(dirs @ normal - offset).max()) <= planarity_tol
-        others = np.delete(hull.normals, positions, axis=0)  # the non-incident facets
-        if not planar or any(float(np.dot(w, normal)) > offset - planarity_tol for w in others):
-            flattened_convex = False
-            break
+    for where, _, dirs in _stacks(hull, cells):
+        center = dirs.mean(axis=1)
+        _, _, vh = np.linalg.svd(dirs - center[:, None], full_matrices=True)
+        normal = vh[:, -1]
+        offset = (dirs @ normal[:, :, None])[..., 0].mean(axis=1)
+        flip = offset < 0
+        normal = np.where(flip[:, None], -normal, normal)
+        offset = np.where(flip, -offset, offset)
+        slack = np.abs((dirs @ normal[:, :, None])[..., 0] - offset[:, None])
+        flattened_convex &= bool((slack.max(axis=1) <= planarity_tol).all())
+        planes[where], offsets[where] = normal, offset
+
+    # every non-incident facet normal strictly on the origin side of each
+    # plane, a block of cells at a time
+    if flattened_convex:
+        step = max(1, _SLACK_BLOCK // len(hull.facets))
+        for start in range(0, len(cells), step):
+            block = slice(start, start + step)
+            dots = _rowdot(hull.normals[None], planes[block, None])
+            for row, positions in zip(dots, cells[block]):
+                row[positions] = -np.inf  # the incident facets
+            if (dots > (offsets[block] - planarity_tol)[:, None]).any():
+                flattened_convex = False
+                break
 
     # transform point k is the normal of hull facet k, and every distinct unit
     # vector is extreme, so both sides below are sets of facet labels

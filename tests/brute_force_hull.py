@@ -14,14 +14,8 @@ import numpy as np
 
 from hullmaps.errors import DegenerateConfigurationError
 from hullmaps.geom_core import PointConfiguration, is_nondegenerate
-from hullmaps.hull_oracle import (
-    DEFAULT_TOL_REL,
-    Face,
-    Facet,
-    HullDescription,
-    _affine_rank,
-    _fit_hyperplane,
-)
+from hullmaps.hull_oracle import DEFAULT_TOL_REL, Face, Facet, HullDescription
+from tests.hull_loop import _affine_rank, _fit_hyperplane
 
 
 def brute_force_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> HullDescription:

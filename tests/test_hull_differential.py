@@ -1,7 +1,10 @@
-"""``build_hull`` against the brute-force d-subset oracle, exactly.
+"""``build_hull`` against two oracles, exactly.
 
-The oracle fits a hyperplane through every d-subset, so every input stays
-small: n <= 60, 30, 24, 18, 14 for d = 2..6.
+The brute-force oracle fits a hyperplane through every d-subset, so its
+inputs stay small: n <= 60, 30, 24, 18, 14 for d = 2..6.  The per-candidate
+loop (``tests/hull_loop.py``) is the build before its fits were stacked and
+its slack tests blocked; it must give the same bits on every brute-force
+input and on larger ones, up to 1000 points.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import pytest
 from hullmaps import build_configuration, build_hull, is_nondegenerate
 from tests.brute_force_hull import assert_same_hull, brute_force_hull
 from tests.conftest import truncated_tetrahedron_points
+from tests.hull_loop import build_hull as loop_build_hull
 
 
 def _ngon(k, z):
@@ -116,6 +120,60 @@ BATTERY = {
     "grid_points": _grid_points,
     "perturbed_cubes": _perturbed_cubes,
 }
+
+
+def _normal_transforms(rng):
+    """The facet normals of each duality polytope: the points of its
+    ``outer_normal_transform``."""
+    return [loop_build_hull(build_configuration(pts)).normals for pts in _duality_polytopes()]
+
+
+def _gaussian_sets(rng):
+    """Seeded Gaussian sets in d = 1..6, up to 200 points in d = 2, 3."""
+    sizes = {1: (5, 40), 2: (10, 200), 3: (10, 200), 4: (8, 60), 5: (8, 25), 6: (8, 16)}
+    return [rng.standard_normal((n, d)) for d, ns in sizes.items() for n in ns]
+
+
+def _tolerance_band(rng):
+    """(points, tol): 3- and 4-cubes perturbed by 1e-9..3e-8 at tol 4e-9, where
+    points lie a few tolerances off the facet hyperplanes."""
+    return [(_cube(d) + noise * rng.standard_normal((2 ** d, d)), 4e-9)
+            for d in (3, 4) for noise in (1e-9, 3e-9, 1e-8, 3e-8) for _ in range(3)]
+
+
+def _sphere_points(rng):
+    """1000 points on the unit sphere: 1996 facets."""
+    pts = np.random.default_rng(0).standard_normal((1000, 3))
+    return [pts / np.linalg.norm(pts, axis=1, keepdims=True)]
+
+
+# inputs too large for the brute-force oracle; a family may give (points, tol)
+LOOP_BATTERY = {
+    "normal_transforms": _normal_transforms,
+    "gaussian_sets": _gaussian_sets,
+    "tolerance_band": _tolerance_band,
+    "sphere_points": _sphere_points,
+}
+
+
+@pytest.mark.parametrize("family", sorted(BATTERY) + sorted(LOOP_BATTERY))
+def test_build_hull_matches_loop_bitwise(family):
+    """Facets (point sets, normal bytes, offsets), faces, children, flags and
+    containing faces equal the per-candidate loop's."""
+    rng = np.random.default_rng(100 + (sorted(BATTERY) + sorted(LOOP_BATTERY)).index(family))
+    cases = BATTERY[family](rng) if family in BATTERY else LOOP_BATTERY[family](rng)
+    checked = 0
+    for case, item in enumerate(cases):
+        pts, tol = item if isinstance(item, tuple) else (item, None)
+        config = build_configuration(pts)
+        if not is_nondegenerate(config):
+            continue
+        try:
+            assert_same_hull(build_hull(config, tol), loop_build_hull(config, tol))
+        except AssertionError as exc:
+            raise AssertionError(f"{family} case {case} differs: {exc}") from None
+        checked += 1
+    assert checked >= min(5, len(cases))
 
 
 @pytest.mark.parametrize("family", sorted(BATTERY))

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,22 @@ def test_unit_sphere_hull_at_point_limit():
     assert set(hull.vertices) == set(SciHull(pts).vertices.tolist())
     slack = hull.offsets[:, None] - hull.normals @ pts.T
     assert slack.min() >= -hull.coplanarity_tol
+
+
+def test_build_hull_memory_does_not_grow_with_facet_count():
+    """The slack tests run in capped blocks: on 1000 sphere points (1996
+    facets) the build peaks below 10 MiB of traced allocations, where one
+    unblocked (facets, n) slack table alone would take 15.2 MiB."""
+    pts = np.random.default_rng(0).standard_normal((1000, 3))
+    config = build_configuration(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    tracemalloc.start()
+    try:
+        hull = build_hull(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(hull.facets) == 1996
+    assert peak < 10 * 2 ** 20
 
 
 def test_coplanarity_tolerance_floor(tmp_path):

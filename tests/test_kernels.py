@@ -326,6 +326,40 @@ def test_skipped_rows_with_projection_ties_match_serial(offset):
         assert np.isinf(log_c).any()
 
 
+@pytest.mark.parametrize("height,case", [(400, "mixed"), (16, "split")])
+def test_gathered_runs_match_serial(height, case, monkeypatch):
+    """``_fill_rows`` scales each direction's run of gathered rows as a scalar.
+
+    With 400-row buffers one gathered block holds the rows of all four
+    directions (mixed); with 16-row buffers a direction's rows span two or
+    more blocks (split).  Either way the filled log sums are the serial
+    kernel's, bitwise.
+    """
+    rng = np.random.default_rng(5)
+    cfg = build_configuration(rng.standard_normal((300, 3)))
+    dirs = _unit_rows(rng, 4, 3)
+    calls = []
+    fill_rows = boundary_map._fill_rows
+
+    def spy(planes, eps, u, idx, *bufs):
+        calls.append(u.copy())
+        return fill_rows(planes, eps, u, idx, *bufs)
+
+    monkeypatch.setattr(boundary_map, "_fill_rows", spy)
+    lam, log_c = np.empty((4, 300)), np.empty((4, 300))
+    boundary_map._fill_bounded(cfg.points, cfg.pair_planes, 1e-3, dirs, lam, log_c,
+                               np.empty(height * 300), np.empty(height * 300))
+    _, want, _ = serial_eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs)
+    filled = np.isfinite(log_c)
+    assert 100 < filled.sum() < log_c.size
+    assert log_c[filled].tobytes() == want[filled].tobytes()
+    gathered = calls[1:]  # the first call fills each direction's top row
+    if case == "mixed":
+        assert any(len(np.unique(u, axis=0)) >= 3 for u in gathered)
+    else:
+        assert any((a[-1] == b[0]).all() for a, b in zip(gathered, gathered[1:]))
+
+
 def test_row_bound_is_exact_on_a_line_along_the_direction():
     """Points on a line along the direction make every row bound exact.
 

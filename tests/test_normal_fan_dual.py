@@ -21,9 +21,12 @@ from hullmaps import (
     spherical_dual,
     w_set_contains,
 )
+from hullmaps import normal_fan_dual
 from hullmaps.cli import main
 from hullmaps.fileio import write_points_csv
+from tests import hull_loop
 from tests.conftest import random_configuration, truncated_tetrahedron_points
+from tests.test_hull_differential import _cube, _duality_polytopes
 
 
 def _cones_by_generator_count(cones):
@@ -330,6 +333,33 @@ def test_dual_check_agreement_properties():
             continue
         res = dual_combinatorics_check(build_hull(cfg))
         assert res.equivalent == res.flattened_convex
+
+
+def test_vertex_cells_and_convexity_match_loop():
+    """The stacked vertex cells and plane tests equal the per-vertex loop's:
+    the same cyclic facet orders, and the same convexity verdict at four
+    planarity tolerances, on the duality polytopes and their normals' hulls,
+    Gaussian sets, sphere points and perturbed cubes."""
+    rng = np.random.default_rng(12)
+    cases = [np.asarray(pts, dtype=float) for pts in _duality_polytopes()]
+    cases += [rng.standard_normal((n, 3)) for n in (5, 8, 12, 20, 40, 100)]
+    sphere = rng.standard_normal((300, 3))
+    cases.append(sphere / np.linalg.norm(sphere, axis=1, keepdims=True))
+    cases += [_cube(3) + noise * rng.standard_normal((8, 3))
+              for noise in (1e-2, 1e-3, 1e-4, 1e-6) for _ in range(3)]
+    verdicts = set()
+    for pts in cases:
+        hull = build_hull(build_configuration(pts))
+        for h in (hull, outer_normal_transform(hull)):
+            got = normal_fan_dual._vertex_cells(h)
+            want = hull_loop.vertex_cells(h)
+            assert [(i, p.tolist()) for i, p in got] == [(i, p.tolist()) for i, p in want]
+            for tol in (1e-12, 1e-7, 1e-4, 1e-2):
+                # any transform will do: only flattened_convex is compared
+                verdict = dual_combinatorics_check(h, tol, transform=h).flattened_convex
+                assert verdict == hull_loop.flattened_convex(h, tol)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_dual_check_requires_d3(square_hull):
