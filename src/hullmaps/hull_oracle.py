@@ -292,7 +292,7 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
                     for b in {f for p in a for f in facets_through[p]}} - face_sets
         face_sets |= frontier
 
-    # the facets' ranks are known to be d - 1 from the check above
+    # a facet's rank, d - 1, was checked in _find_facets
     points_of = {s: tuple(sorted(s)) for s in face_sets}
     lower = [s for s in face_sets if s not in facet_data]
     dims = dict(zip(lower, _affine_ranks(pts, [points_of[s] for s in lower]).tolist()))

@@ -156,12 +156,15 @@ LOOP_BATTERY = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(BATTERY) + sorted(LOOP_BATTERY))
+LOOP_FAMILIES = sorted(BATTERY) + sorted(LOOP_BATTERY)
+
+
+@pytest.mark.parametrize("family", LOOP_FAMILIES)
 def test_build_hull_matches_loop_bitwise(family):
     """Facets (point sets, normal bytes, offsets), faces, children, flags and
     containing faces equal the per-candidate loop's."""
-    rng = np.random.default_rng(100 + (sorted(BATTERY) + sorted(LOOP_BATTERY)).index(family))
-    cases = BATTERY[family](rng) if family in BATTERY else LOOP_BATTERY[family](rng)
+    rng = np.random.default_rng(100 + LOOP_FAMILIES.index(family))
+    cases = {**BATTERY, **LOOP_BATTERY}[family](rng)
     checked = 0
     for case, item in enumerate(cases):
         pts, tol = item if isinstance(item, tuple) else (item, None)
