@@ -16,10 +16,18 @@ of more than one run, takes the runs; a batch of one run (every
 one-direction call among them) stays on the calling thread.  A run finishes
 one block of rows (``log_c``, then the weights, then the images) before it
 starts the next, and when only images are wanted a block's ``log_c`` and
-weights live in per-run scratch, so no (N, n) array is made.  At small n,
-each coordinate's dots are one copy and one contiguous multiply with the
-planes tiled to the tile's direction count, a read-only copy made once per
-batch, since NumPy would copy a broadcast multiply through its ufunc buffer.
+weights live in per-run scratch, so no (N, n) array is made.
+
+A tile's dots are one ``np.einsum("kc,cij->kij")`` of its directions with its
+slice of the planes, at einsum's default ``optimize=False``, so no BLAS call.
+It sums each dot as ``0 + u_0 p_0 + u_1 p_1 + ...`` in coordinate order, and
+the multiply-add ``u_0 p_0 + u_1 p_1 + ...`` of the serial kernel differs
+from that at most in the sign of an exact zero, which ``eps - min(0, dot)``
+and the overwritten diagonal never see.  This holds while NumPy's einsum
+loops round each product before the add, as builds whose SIMD baseline lacks
+fused multiply-add (x86-64-v2) do; a build whose baseline has it (x86-64-v3,
+aarch64) could round differently, and the tests against the serial kernel
+are the guard for that case.
 
 In double precision most weights are exactly 0.0 at large n and small eps
 (92% at n = 1000, eps = 1e-2 on Gaussian points), since a row of ``log_c``
@@ -256,7 +264,7 @@ def _weigh(points, log_c, lambdas, images, ka, buf_a, buf_b):
     images[ka:ka + m] = img_t.T
 
 
-def _run(planes, tiled, points, eps, dirs, out, k0, k1, buf_a, buf_b, scratch):
+def _run(planes, points, eps, dirs, out, k0, k1, buf_a, buf_b, scratch):
     """Form rows ``k0:k1`` of ``out`` = (lambdas, log_c, images), block by block.
 
     A block is as many directions as a tile buffer holds weight rows: several
@@ -288,15 +296,7 @@ def _run(planes, tiled, points, eps, dirs, out, k0, k1, buf_a, buf_b, scratch):
                 for i0 in range(0, n, height):
                     m, h = len(tile), min(height, n - i0)
                     dots = buf_a[:m * h * n].reshape(m, h, n)
-                    term = buf_b[:m * h * n].reshape(m, h, n)
-                    for c in range(d):
-                        part, coord = term if c else dots, tile[:, c, None, None]
-                        if tiled.shape[1] > 1:  # copied, then multiplied contiguously
-                            np.copyto(part, coord)
-                            coord = part
-                        np.multiply(coord, tiled[c, :m, i0:i0 + h], out=part)
-                        if c:
-                            dots += term
+                    np.einsum("kc,cij->kij", tile, planes[:, i0:i0 + h], out=dots)
                     _log_sums(dots, eps, (slice(None), slice(i0, None, n + 1)),
                               lc[ta - ka:ta - ka + m, i0:i0 + h])
         _weigh(points, lc, lam, images, ka, buf_a, buf_b)
@@ -320,24 +320,17 @@ def _eval_batch(points, planes, eps, dirs, images_only=False):
     runs = max(1, min(_WORKERS, -(-nb // rows)))
     cuts = [nb * r // runs for r in range(runs + 1)]
     per_run = -(-nb // runs)
-    per_tile = min(rows, per_run)
-    tiled = planes[:, None]
-    # NumPy copies a multiply broadcast over three or more (n, n) planes through
-    # its ufunc buffer, at twice the cost of a copy and a contiguous multiply
-    if per_tile > 1 and 3 * n * n <= np.getbufsize():
-        tiled = np.repeat(tiled, per_tile, axis=1)  # at most d x _CHUNK_BUDGET floats
-        tiled.flags.writeable = False
     # made on the calling thread: buffers made by the workers raised the sweep's peak RSS
-    size = max(per_tile * height * n, n, 2 * d)
+    size = max(min(rows, per_run) * height * n, n, 2 * d)
     bufs = np.empty((runs, 2, size))
     images = np.empty((nb, d))
     out = (None, None, images) if images_only else (np.empty((nb, n)), np.empty((nb, n)), images)
     scratch = (np.empty((runs, 2, min(size // max(n, 2 * d), per_run) * n)) if images_only
                else [None] * runs)
     if runs == 1:
-        _run(planes, tiled, points, eps, dirs, out, 0, nb, *bufs[0], scratch[0])
+        _run(planes, points, eps, dirs, out, 0, nb, *bufs[0], scratch[0])
     else:
-        jobs = [_kernel_pool().submit(_run, planes, tiled, points, eps, dirs, out, a, b, *buf, sc)
+        jobs = [_kernel_pool().submit(_run, planes, points, eps, dirs, out, a, b, *buf, sc)
                 for a, b, buf, sc in zip(cuts, cuts[1:], bufs, scratch)]
         for job in jobs:
             job.result()

@@ -229,6 +229,34 @@ def _find_facets(pts: np.ndarray, tol: float) -> dict:
     return facet_data
 
 
+def _hull_facets(config: PointConfiguration, coplanarity_tol: float | None = None):
+    """(``_find_facets`` of the points, the tolerance used), with the input
+    checks and errors of :func:`build_hull`."""
+    if not is_nondegenerate(config):
+        raise DegenerateConfigurationError(
+            "points lie on a proper affine subspace; no full-dimensional hull"
+        )
+    if config.n_points > MAX_POINTS or config.dim > MAX_DIM:
+        raise TooManyPointsError(f"hull construction supports n <= {MAX_POINTS}, d <= {MAX_DIM}")
+
+    pts = config.points
+    if coplanarity_tol is None:
+        tol = DEFAULT_TOL_REL * config.diameter
+    else:
+        # below a few ulp of the coordinates, rounding decides which points
+        # lie on a plane, and the facet sets come out wrong
+        tol = float(coplanarity_tol)
+        floor = 16 * np.finfo(float).eps * float(np.abs(pts).max())
+        if not (np.isfinite(tol) and tol >= floor):
+            raise ValueError(f"coplanarity tolerance {coplanarity_tol!r} must be finite and at "
+                             f"least {floor:.3g} (16 ulp of the largest |coordinate|)")
+
+    facet_data = _find_facets(pts, tol)
+    if not facet_data:
+        raise DegenerateConfigurationError("no supporting facets found")
+    return facet_data, tol
+
+
 def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> HullDescription:
     """Find the facets and build the full face lattice.
 
@@ -253,29 +281,8 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
     for a given tolerance that is not finite or is below
     ``16 * eps * max|coordinate|``.
     """
-    if not is_nondegenerate(config):
-        raise DegenerateConfigurationError(
-            "points lie on a proper affine subspace; no full-dimensional hull"
-        )
-    d, n = config.dim, config.n_points
-    if n > MAX_POINTS or d > MAX_DIM:
-        raise TooManyPointsError(f"hull construction supports n <= {MAX_POINTS}, d <= {MAX_DIM}")
-
-    pts = config.points
-    if coplanarity_tol is None:
-        tol = DEFAULT_TOL_REL * config.diameter
-    else:
-        # below a few ulp of the coordinates, rounding decides which points
-        # lie on a plane, and the facet sets come out wrong
-        tol = float(coplanarity_tol)
-        floor = 16 * np.finfo(float).eps * float(np.abs(pts).max())
-        if not (np.isfinite(tol) and tol >= floor):
-            raise ValueError(f"coplanarity tolerance {coplanarity_tol!r} must be finite and at "
-                             f"least {floor:.3g} (16 ulp of the largest |coordinate|)")
-
-    facet_data = _find_facets(pts, tol)
-    if not facet_data:
-        raise DegenerateConfigurationError("no supporting facets found")
+    facet_data, tol = _hull_facets(config, coplanarity_tol)
+    pts, d, n = config.points, config.dim, config.n_points
 
     # face lattice: closure of facet point-sets under intersection.  Every
     # face is an intersection of facets, and two sets meet only through a

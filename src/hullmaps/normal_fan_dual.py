@@ -30,6 +30,7 @@ from .hull_oracle import (
     _face_within,
     _faces_below,
     _facet_distances,
+    _hull_facets,
     build_hull,
     classify_direction,
 )
@@ -200,6 +201,15 @@ def flattened_spherical_dual(hull: HullDescription) -> list:
             for point_index, positions in _vertex_cells(hull)]
 
 
+def _normals_config(hull: HullDescription):
+    if len(hull.facets) > MAX_POINTS:
+        raise TooManyPointsError(
+            f"the facet normals' hull supports at most {MAX_POINTS} facets; "
+            f"this hull has {len(hull.facets)}"
+        )
+    return build_configuration(hull.normals)
+
+
 def outer_normal_transform(hull: HullDescription) -> HullDescription:
     """Hull of the facet normal directions.
 
@@ -207,12 +217,7 @@ def outer_normal_transform(hull: HullDescription) -> HullDescription:
     with more than ``MAX_POINTS`` facets (in d = 3 a simplicial hull of V
     vertices has 2V - 4).
     """
-    if len(hull.facets) > MAX_POINTS:
-        raise TooManyPointsError(
-            f"the facet normals' hull supports at most {MAX_POINTS} facets; "
-            f"this hull has {len(hull.facets)}"
-        )
-    return build_hull(build_configuration(hull.normals))
+    return build_hull(_normals_config(hull))
 
 
 def dual_combinatorics_check(hull: HullDescription,
@@ -230,7 +235,8 @@ def dual_combinatorics_check(hull: HullDescription,
     compared with ``planarity_tol``; on a nearly degenerate hull, such as a
     cube perturbed by 1e-4, a flattened cell can pass as planar within
     ``planarity_tol`` while the transform's facets split it.  A caller that
-    already holds ``outer_normal_transform(hull)`` passes it as ``transform``.
+    already holds ``outer_normal_transform(hull)`` passes it as ``transform``;
+    without one, the check finds the normals' facets but builds no face lattice.
     """
     if hull.dim != 3:
         raise DimensionUnsupportedError("duality check is defined for d = 3")
@@ -268,7 +274,9 @@ def dual_combinatorics_check(hull: HullDescription,
     # transform point k is the normal of hull facet k, and every distinct unit
     # vector is extreme, so both sides below are sets of facet labels
     if transform is None:
-        transform = outer_normal_transform(hull)
+        facet_sets = set(_hull_facets(_normals_config(hull))[0])
+    else:
+        facet_sets = {frozenset(f.vertex_indices) for f in transform.facets}
     stars = {frozenset(positions.tolist()) for positions in cells}
-    equivalent = stars == {frozenset(f.vertex_indices) for f in transform.facets}
+    equivalent = stars == facet_sets
     return DualCheckResult(equivalent=equivalent, flattened_convex=flattened_convex)

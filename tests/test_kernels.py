@@ -219,16 +219,16 @@ def test_more_coordinates_than_points_match_serial(n_points, dim, count):
 @pytest.mark.parametrize("budget", [120, 7, 65_536])
 @pytest.mark.parametrize("n_points,dim", [(2, 1), (12, 1), (3, 6), (20, 6), (20, 3)])
 def test_tiled_planes_match_serial(n_points, dim, budget, workers, monkeypatch):
-    """Whole-row tiles of several directions multiply a read-only tiled copy
-    of the planes, and every run of whole-row tiles ends with a partial tile."""
+    """Each tile's dots are one einsum over the configuration's own planes, read
+    in place, and every run of whole-row tiles ends with a partial tile."""
     monkeypatch.setattr(boundary_map, "_CHUNK_BUDGET", budget)
     monkeypatch.setattr(boundary_map, "_WORKERS", workers)
     seen = []
     run = boundary_map._run
 
-    def spy(planes, tiled, *args):
-        seen.append(tiled)
-        return run(planes, tiled, *args)
+    def spy(planes, *args):
+        seen.append(planes)
+        return run(planes, *args)
 
     monkeypatch.setattr(boundary_map, "_run", spy)
     rng = np.random.default_rng(13 * n_points + dim)
@@ -239,14 +239,38 @@ def test_tiled_planes_match_serial(n_points, dim, budget, workers, monkeypatch):
     runs = min(workers, -(-count // rows))
     assert rows == 1 or all(np.diff([count * r // runs for r in range(runs + 1)]) % rows)
     _assert_matches_serial(cfg, 1e-3, dirs)
-    per_tile = min(rows, -(-count // runs))
     assert len(seen) == 2 * runs  # the full kernel, then the image-only one
-    for tiled in seen:
-        if per_tile > 1 and 3 * n_points ** 2 <= np.getbufsize():
-            assert tiled.shape == (dim, per_tile, n_points, n_points)
-            assert not tiled.flags.writeable
-        else:
-            assert np.shares_memory(tiled, cfg.pair_planes)
+    for planes in seen:
+        assert np.shares_memory(planes, cfg.pair_planes)
+
+
+@pytest.mark.parametrize("n_points", [2, 20, 52, 300])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_einsum_dots_equal_multiply_add_loop(dim, n_points):
+    """The kernel's einsum adds 0 + u_0 p_0 + u_1 p_1 + ... per dot, the old loop
+    u_0 p_0 + u_1 p_1 + ...: equal values, up to the sign of an exact zero,
+    and bitwise equal log sums, as long as NumPy does not fuse the multiply and
+    the add."""
+    rng = np.random.default_rng(17 * n_points + dim)
+    planes = build_configuration(rng.standard_normal((n_points, dim))).pair_planes
+    for count in (1, 7, 163):
+        tile = np.vstack([np.eye(dim), _unit_rows(rng, count, dim)])[-count:]  # axes give zeros
+        for i0, h in ((0, n_points), (n_points // 3, max(1, n_points // 4))):
+            if count * h * n_points > 2_000_000:  # 163 whole-row tiles at n = 300
+                continue
+            part = planes[:, i0:i0 + h]
+            got = np.einsum("kc,cij->kij", tile, part)
+            want = tile[:, 0, None, None] * part[0]
+            for c in range(1, dim):
+                want += tile[:, c, None, None] * part[c]
+            assert np.array_equal(got, want), (
+                "einsum dots differ from the multiply-add loop; does this NumPy build's "
+                "SIMD baseline fuse multiply and add (FMA)?")
+            diag = (slice(None), slice(i0, None, n_points + 1))
+            sums = [np.empty((count, h)), np.empty((count, h))]
+            for dots, out in zip((got, want), sums):
+                boundary_map._log_sums(dots, 1e-3, diag, out)
+            assert sums[0].tobytes() == sums[1].tobytes()
 
 
 def test_one_direction_at_max_points_matches_serial():
@@ -451,7 +475,7 @@ def test_image_only_kernel_allocates_no_weight_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.isfinite(images).all()
-    assert peak < 10 * 2**20
+    assert peak < 7 * 2**20  # 6.4 MiB on two CPUs, 2.3 MiB of it the images
     lam, log_c, full_images = weights_batch_array(cfg, 1e-3, dirs)
     assert lam.shape == log_c.shape == (100_000, 20)
     assert np.isfinite(lam).all() and np.isfinite(log_c).all()

@@ -362,6 +362,29 @@ def test_vertex_cells_and_convexity_match_loop():
     assert verdicts == {True, False}
 
 
+def test_dual_check_without_transform_matches_transform():
+    """Without a transform the check finds only the normals' facets; both
+    booleans equal those computed against the normals' full hull, on the
+    duality polytopes, seeded sets and seven perturbed cubes, three of which
+    keep equivalent=False, flattened_convex=True."""
+    rng = np.random.default_rng(21)
+    cases = [np.asarray(pts, dtype=float) for pts in _duality_polytopes()]
+    cases += [rng.standard_normal((n, 3)) for n in (5, 8, 12, 20, 40, 100)]
+    sphere = rng.standard_normal((200, 3))
+    cases.append(sphere / np.linalg.norm(sphere, axis=1, keepdims=True))
+    noise_rng = np.random.default_rng(5)
+    cubes = [_cube(3) + noise * noise_rng.standard_normal((8, 3))
+             for noise in (1e-2, 1e-2, 1e-3, 1e-3, 1e-4, 1e-4, 1e-4)]
+    split = []
+    for pts in cases + cubes:
+        hull = build_hull(build_configuration(pts))
+        got = dual_combinatorics_check(hull)
+        assert got == dual_combinatorics_check(hull, transform=outer_normal_transform(hull))
+        split.append((got.equivalent, got.flattened_convex) == (False, True))
+    assert not any(split[:len(cases)])
+    assert split[len(cases):] == [False] * 4 + [True] * 3
+
+
 def test_dual_check_requires_d3(square_hull):
     with pytest.raises(DimensionUnsupportedError):
         dual_combinatorics_check(square_hull)
@@ -375,6 +398,8 @@ def test_normals_hull_names_the_facet_limit(tmp_path, capsys):
     assert len(hull.facets) == 1196
     with pytest.raises(TooManyPointsError, match="at most 1000 facets; this hull has 1196"):
         outer_normal_transform(hull)
+    with pytest.raises(TooManyPointsError, match="at most 1000 facets; this hull has 1196"):
+        dual_combinatorics_check(hull)
     src = tmp_path / "sphere.csv"
     write_points_csv(src, sphere)
     assert main(["dual", str(src), "--out", str(tmp_path / "dual.txt")]) == 2
