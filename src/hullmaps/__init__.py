@@ -36,7 +36,6 @@ from .errors import (
     TooManyPointsError,
 )
 from .geom_core import (
-    AffineHyperplane,
     PointConfiguration,
     build_configuration,
     is_nondegenerate,
@@ -88,7 +87,7 @@ from .set_metrics import (
     symmetric_hausdorff,
     theorem_sweep,
 )
-from .sphere_sampling import CapFocus, SamplePlan, sample, sample_near
+from .sphere_sampling import SamplePlan, sample, sample_near
 
 __version__ = "0.1.0"
 

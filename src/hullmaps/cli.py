@@ -16,6 +16,7 @@ from . import boundary_map, fileio, normal_fan_dual, set_metrics
 from .errors import (
     AmbiguousTieError,
     DegenerateConfigurationError,
+    DimensionMismatchError,
     DimensionUnsupportedError,
     HullMapsError,
     NumericalOverflowError,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .geom_core import build_configuration, read_points_csv
 from .hull_oracle import build_hull, classify_direction
-from .sphere_sampling import CapFocus, SamplePlan, default_strategy, sample, sample_near
+from .sphere_sampling import SamplePlan, default_strategy, sample, sample_near
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,10 +36,8 @@ EXIT_NUMERIC = 5
 
 
 def _make_plan(args: argparse.Namespace, dim: int) -> SamplePlan:
-    cap_radius = getattr(args, "cap_radius", None)  # approx only
-    focus = CapFocus(cap_radius=cap_radius) if cap_radius is not None else None
     return SamplePlan(dim=dim, strategy=args.strategy or default_strategy(dim),
-                      count=args.samples, seed=args.seed, focus=focus)
+                      count=args.samples, seed=args.seed)
 
 
 def _load_config(args: argparse.Namespace):
@@ -54,11 +53,14 @@ def cmd_approx(args: argparse.Namespace) -> int:
     if render_dim is not None and config.dim != render_dim:
         raise DimensionUnsupportedError(f"{args.render} render needs d = {render_dim} input")
     hull = build_hull(config, args.tol_coplanar) if args.render == "svg" else None
-    plan = _make_plan(args, config.dim)
     if args.cap_center is not None:
-        dirs = sample_near(plan, _unit_direction(args.cap_center))
+        center = _unit_direction(args.cap_center)
+        if center.shape[0] != config.dim:
+            raise DimensionMismatchError(
+                f"--cap-center has {center.shape[0]} components; the points have d = {config.dim}")
+        dirs = sample_near(center, args.cap_radius, args.samples, args.seed)
     else:
-        dirs = sample(plan)
+        dirs = sample(_make_plan(args, config.dim))
     images = boundary_map.evaluate_batch_array(config, args.eps, dirs)
     fileio.write_points_csv(args.out, images)
     if args.render == "svg":
@@ -98,7 +100,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
     hull = build_hull(config, args.tol_coplanar)
     complex_ = normal_fan_dual.spherical_dual(hull)
     transform = normal_fan_dual.outer_normal_transform(hull)
-    verdict = normal_fan_dual.dual_combinatorics_check(hull, transform=transform)
+    verdict = normal_fan_dual.dual_combinatorics_check(hull)
 
     # one OBJ face per hull vertex: the rows of hull.normals of its facets, in cyclic order
     index_cells = [positions for _, positions in normal_fan_dual._vertex_cells(hull)]
@@ -180,13 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output path")
         else:
             p.add_argument("--out", default="", help="optional output path")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol-distinct", type=float, default=None)
         p.add_argument("--tol-coplanar", type=float, default=None)
-        p.add_argument("--tol-tie", type=float, default=None)
 
     p = sub.add_parser("approx", help="evaluate the map over a direction sample")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--strategy", choices=["uniform_grid_2d", "fibonacci_3d", "gaussian_random"])
@@ -203,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="epsilon sweep of boundary distances")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps-list", type=_parse_floats, default=(),
                    help="comma-separated decreasing epsilons")
     p.add_argument("--samples", type=int, default=10000)
@@ -213,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="face of the normal-fan cell containing a direction")
     common(p, needs_out=False)
+    p.add_argument("--tol-tie", type=float, default=None)
     p.add_argument("--direction", type=_parse_floats, required=True,
                    help="comma-separated direction components")
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, DuplicatePointsError
@@ -13,33 +11,19 @@ DEFAULT_DISTINCTNESS_REL = 1e-9
 DEFAULT_RANK_TOL = 1e-9
 
 
-def unit_vector(coords, tol: float = UNIT_NORM_TOL) -> np.ndarray:
+def unit_vector(coords) -> np.ndarray:
     """Validate and return a unit direction as a float vector.
 
-    Raises ValueError if the Euclidean norm differs from 1 by more than tol
-    or is not finite.
+    Raises ValueError if the Euclidean norm differs from 1 by more than
+    ``UNIT_NORM_TOL`` or is not finite.
     """
     v = np.ascontiguousarray(coords, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError("a direction must be a single coordinate vector")
     nrm = float(np.linalg.norm(v))
-    if not abs(nrm - 1.0) <= tol:  # also rejects a NaN norm
-        raise ValueError(f"direction has norm {nrm!r}, not 1 within {tol}")
+    if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # also rejects a NaN norm
+        raise ValueError(f"direction has norm {nrm!r}, not 1 within {UNIT_NORM_TOL}")
     return v
-
-
-@dataclass(frozen=True)
-class AffineHyperplane:
-    """Hyperplane {x : <normal, x> = offset} with a unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def signed_distance(self, x) -> float:
-        return float(np.dot(self.normal, np.asarray(x, dtype=float)) - self.offset)
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return abs(self.signed_distance(x)) <= tol
 
 
 class PointConfiguration:
@@ -162,13 +146,13 @@ def build_configuration(raw_points, distinctness_tol: float | None = None) -> Po
     return PointConfiguration(np.vstack(rows), distinctness_tol)
 
 
-def is_nondegenerate(config: PointConfiguration, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
+def is_nondegenerate(config: PointConfiguration) -> bool:
     """True iff the points affinely span R^d (relative singular-value test)."""
     diffs = config.points[1:] - config.points[0]
     sv = np.linalg.svd(diffs, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return False
-    rank = int(np.sum(sv > rank_tol * sv[0]))
+    rank = int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
     return rank == config.dim
 
 

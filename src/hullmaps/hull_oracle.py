@@ -35,7 +35,7 @@ from .errors import (
     TooManyPointsError,
 )
 from .boundary_map import MAX_DIM, MAX_POINTS
-from .geom_core import PointConfiguration, is_nondegenerate, unit_vector
+from .geom_core import DEFAULT_RANK_TOL, PointConfiguration, is_nondegenerate, unit_vector
 
 DEFAULT_TOL_REL = 1e-9
 MAX_TRIES_PER_SAMPLE = 10_000  # rejection-sampling budget per requested sample
@@ -135,11 +135,12 @@ def _by_length(sets) -> dict:
     return groups
 
 
-def _affine_ranks(pts: np.ndarray, sets, tol_rel: float = 1e-9) -> np.ndarray:
+def _affine_ranks(pts: np.ndarray, sets) -> np.ndarray:
     """Affine rank of the points of each sorted index tuple: the number of
-    singular values of the differences from the first point above tol_rel x
-    the largest, one stacked SVD per tuple length.  The points are distinct,
-    as a configuration's are, so one or two of them have rank 0 or 1."""
+    singular values of the differences from the first point above
+    ``DEFAULT_RANK_TOL`` x the largest, one stacked SVD per tuple length.  The
+    points are distinct, as a configuration's are, so one or two of them have
+    rank 0 or 1."""
     ranks = np.zeros(len(sets), dtype=int)
     for m, where in _by_length(sets).items():
         if m < 3:
@@ -147,7 +148,7 @@ def _affine_ranks(pts: np.ndarray, sets, tol_rel: float = 1e-9) -> np.ndarray:
             continue
         sub = pts[np.array([sets[k] for k in where])]
         sv = np.linalg.svd(sub[:, 1:] - sub[:, :1], compute_uv=False)
-        ranks[where] = np.count_nonzero(sv > tol_rel * sv[:, :1], axis=1)
+        ranks[where] = np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[:, :1], axis=1)
     return ranks
 
 
@@ -549,17 +550,18 @@ def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.
         u = rng.random(count)
         return a[None, :] + u[:, None] * (b - a)[None, :]
     if face.dim == 2:
-        # the vertices in cyclic order, fanned into triangles from the first
+        # the vertices in cyclic order, fanned into triangles from the first;
+        # the areas come from the face-local coordinates, valid in any d
         verts = hull.face_extreme_points(face_id)
         origin, basis = hull._face_basis(face_id)
         local = (verts - origin) @ basis.T
         center = local.mean(axis=0)
-        verts = verts[np.argsort(np.arctan2(local[:, 1] - center[1], local[:, 0] - center[0]))]
+        order = np.argsort(np.arctan2(local[:, 1] - center[1], local[:, 0] - center[0]))
+        verts, local = verts[order], local[order]
         k = verts.shape[0]
         tris = [(verts[0], verts[e], verts[e + 1]) for e in range(1, k - 1)]
-        areas = np.asarray([
-            0.5 * np.linalg.norm(np.cross(t1 - t0, t2 - t0)) for t0, t1, t2 in tris
-        ])
+        e1, e2 = local[1:-1] - local[0], local[2:] - local[0]
+        areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         choice = rng.choice(len(tris), size=count, p=areas / areas.sum())
         r1 = np.sqrt(rng.random(count))
         r2 = rng.random(count)

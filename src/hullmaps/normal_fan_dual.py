@@ -220,9 +220,41 @@ def outer_normal_transform(hull: HullDescription) -> HullDescription:
     return build_hull(_normals_config(hull))
 
 
+def _flattened_convex(hull: HullDescription, cells: list, planarity_tol: float) -> bool:
+    """Whether every vertex cell (its facet positions) is planar within
+    ``planarity_tol`` and its plane keeps every other facet normal strictly
+    on the origin side."""
+    # each cell's best-fit plane, the cells of one size as one stacked SVD
+    planes = np.empty((len(cells), 3))
+    offsets = np.empty(len(cells))
+    for where, _, dirs in _stacks(hull, cells):
+        center = dirs.mean(axis=1)
+        _, _, vh = np.linalg.svd(dirs - center[:, None], full_matrices=True)
+        normal = vh[:, -1]
+        offset = (dirs @ normal[:, :, None])[..., 0].mean(axis=1)
+        flip = offset < 0
+        normal = np.where(flip[:, None], -normal, normal)
+        offset = np.where(flip, -offset, offset)
+        slack = np.abs((dirs @ normal[:, :, None])[..., 0] - offset[:, None])
+        if not (slack.max(axis=1) <= planarity_tol).all():
+            return False
+        planes[where], offsets[where] = normal, offset
+
+    # every non-incident facet normal strictly on the origin side of each
+    # plane, a block of cells at a time
+    step = max(1, _SLACK_BLOCK // len(hull.facets))
+    for start in range(0, len(cells), step):
+        block = slice(start, start + step)
+        dots = _rowdot(hull.normals[None], planes[block, None])
+        for row, positions in zip(dots, cells[block]):
+            row[positions] = -np.inf  # the incident facets
+        if (dots > (offsets[block] - planarity_tol)[:, None]).any():
+            return False
+    return True
+
+
 def dual_combinatorics_check(hull: HullDescription,
-                             planarity_tol: float = FLATTEN_PLANARITY_TOL,
-                             transform: HullDescription | None = None) -> DualCheckResult:
+                             planarity_tol: float = FLATTEN_PLANARITY_TOL) -> DualCheckResult:
     """Convexity of the flattened dual vs combinatorial equivalence of the transform.
 
     ``flattened_convex`` holds iff every flattened cell is planar and its
@@ -234,49 +266,16 @@ def dual_combinatorics_check(hull: HullDescription,
     booleans agree on every valid input whose facet normals lie well apart
     compared with ``planarity_tol``; on a nearly degenerate hull, such as a
     cube perturbed by 1e-4, a flattened cell can pass as planar within
-    ``planarity_tol`` while the transform's facets split it.  A caller that
-    already holds ``outer_normal_transform(hull)`` passes it as ``transform``;
-    without one, the check finds the normals' facets but builds no face lattice.
+    ``planarity_tol`` while the transform's facets split it.  The check finds
+    the normals' facets but builds no face lattice.
     """
     if hull.dim != 3:
         raise DimensionUnsupportedError("duality check is defined for d = 3")
 
     cells = [positions for _, positions in _vertex_cells(hull)]
-    # each cell's best-fit plane, the cells of one size as one stacked SVD
-    planes = np.empty((len(cells), 3))
-    offsets = np.empty(len(cells))
-    flattened_convex = True
-    for where, _, dirs in _stacks(hull, cells):
-        center = dirs.mean(axis=1)
-        _, _, vh = np.linalg.svd(dirs - center[:, None], full_matrices=True)
-        normal = vh[:, -1]
-        offset = (dirs @ normal[:, :, None])[..., 0].mean(axis=1)
-        flip = offset < 0
-        normal = np.where(flip[:, None], -normal, normal)
-        offset = np.where(flip, -offset, offset)
-        slack = np.abs((dirs @ normal[:, :, None])[..., 0] - offset[:, None])
-        flattened_convex &= bool((slack.max(axis=1) <= planarity_tol).all())
-        planes[where], offsets[where] = normal, offset
-
-    # every non-incident facet normal strictly on the origin side of each
-    # plane, a block of cells at a time
-    if flattened_convex:
-        step = max(1, _SLACK_BLOCK // len(hull.facets))
-        for start in range(0, len(cells), step):
-            block = slice(start, start + step)
-            dots = _rowdot(hull.normals[None], planes[block, None])
-            for row, positions in zip(dots, cells[block]):
-                row[positions] = -np.inf  # the incident facets
-            if (dots > (offsets[block] - planarity_tol)[:, None]).any():
-                flattened_convex = False
-                break
-
+    flattened_convex = _flattened_convex(hull, cells, planarity_tol)
     # transform point k is the normal of hull facet k, and every distinct unit
     # vector is extreme, so both sides below are sets of facet labels
-    if transform is None:
-        facet_sets = set(_hull_facets(_normals_config(hull))[0])
-    else:
-        facet_sets = {frozenset(f.vertex_indices) for f in transform.facets}
     stars = {frozenset(positions.tolist()) for positions in cells}
-    equivalent = stars == facet_sets
+    equivalent = stars == set(_hull_facets(_normals_config(hull))[0])
     return DualCheckResult(equivalent=equivalent, flattened_convex=flattened_convex)

@@ -37,11 +37,20 @@ from .hull_oracle import (
     sample_boundary,
     sample_face_points,
 )
-from .sphere_sampling import CapFocus, SamplePlan, default_strategy, sample, sample_near
+from .sphere_sampling import SamplePlan, sample, sample_near
 
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
+COARSE_CAP_RADIUS = 0.5  # radians: the sweeps' cap around a facet or span normal
 LADDER_BASE_FACTOR = 0.5  # innermost cap radius in units of eps
 LADDER_LEVELS = 9
+# arc tubes: transverse offsets tau from TAU_BASE_FACTOR * eps, growing by
+# TAU_RATIO, up to TAU_MAX_FACTOR * eps (and 0.5); arc positions sigma from
+# SIGMA_BASE_FACTOR * eps, growing by SIGMA_RATIO, up to half the arc
+TAU_BASE_FACTOR = 0.125
+TAU_MAX_FACTOR = 4096.0
+TAU_RATIO = 1.4
+SIGMA_BASE_FACTOR = 0.5
+SIGMA_RATIO = 1.5
 # fit over the last three decade values: large-eps points saturate at the
 # hull inradius and would bias the asymptotic rate
 SLOPE_FIT_DECADES = 2.0
@@ -189,14 +198,7 @@ def _fit_loglog_slope(epsilons, values):
     return float(coef[0]), res
 
 
-def _cap_plan(dim: int, count: int, radius: float, seed: int) -> SamplePlan:
-    return SamplePlan(dim=dim, strategy=default_strategy(dim), count=count, seed=seed,
-                      focus=CapFocus(cap_radius=radius))
-
-
-def _ladder_radii(eps: float, max_radius: float,
-                  base_factor: float = LADDER_BASE_FACTOR,
-                  levels: int = LADDER_LEVELS) -> list:
+def _ladder_radii(eps: float, max_radius: float) -> list:
     """Dyadic cap radii from ~eps scale up to the coarse cap radius.
 
     The image of a cap around a facet normal stretches like 1/angle^2 toward
@@ -204,50 +206,43 @@ def _ladder_radii(eps: float, max_radius: float,
     the facet at every scale.
     """
     radii = []
-    for m in range(levels):
-        r = min(max_radius, base_factor * (2.0 ** m) * eps)
+    for m in range(LADDER_LEVELS):
+        r = min(max_radius, LADDER_BASE_FACTOR * (2.0 ** m) * eps)
         if not radii or r > radii[-1] * 1.0000001:
             radii.append(r)
     return radii
 
 
-def cap_directions(dim: int, center: np.ndarray, eps: float, cap_radius: float,
+def cap_directions(center: np.ndarray, eps: float, cap_radius: float,
                    coarse_count: int, ladder_count: int, seed: int) -> np.ndarray:
     """Coarse cap plus the dyadic fine-cap ladder around one direction."""
-    chunks = [sample_near(_cap_plan(dim, coarse_count, cap_radius, seed), center)]
+    chunks = [sample_near(center, cap_radius, coarse_count, seed)]
     for m, r in enumerate(_ladder_radii(eps, cap_radius)):
-        chunks.append(sample_near(_cap_plan(dim, ladder_count, r, seed + 1 + m), center))
+        chunks.append(sample_near(center, r, ladder_count, seed + 1 + m))
     return np.vstack(chunks)
 
 
-def _geometric_tau_offsets(eps: float, base_factor: float, max_factor: float,
-                           ratio: float) -> list:
+def _geometric_tau_offsets(eps: float) -> list:
     taus = [0.0]
-    t = base_factor * eps
-    while t <= min(0.5, max_factor * eps):
+    t = TAU_BASE_FACTOR * eps
+    while t <= min(0.5, TAU_MAX_FACTOR * eps):
         taus.extend([t, -t])
-        t *= ratio
+        t *= TAU_RATIO
     return taus
 
 
-def _dyadic_sigmas(eps: float, half_angle: float, base_factor: float,
-                   ratio: float) -> list:
+def _dyadic_sigmas(eps: float, half_angle: float) -> list:
     sigmas = []
-    s = base_factor * eps
+    s = SIGMA_BASE_FACTOR * eps
     while s < half_angle:
         sigmas.append(s)
-        s *= ratio
+        s *= SIGMA_RATIO
     sigmas.append(half_angle)
     return sigmas
 
 
 def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
-                        allowed_points=None,
-                        tau_base_factor: float = 0.125,
-                        tau_max_factor: float = 4096.0,
-                        tau_ratio: float = 1.4,
-                        sigma_base_factor: float = 0.5,
-                        sigma_ratio: float = 1.5) -> np.ndarray:
+                        allowed_points=None) -> np.ndarray:
     """Directions in thin tubes around the spherical-dual arcs of edges (d = 3).
 
     Blends between the two vertices of an edge happen within an O(eps)-thick
@@ -277,7 +272,7 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
         wanted = set(face_ids)
         edges = [e for e in edges if e.face_id in wanted]
 
-    taus = _geometric_tau_offsets(eps, tau_base_factor, tau_max_factor, tau_ratio)
+    taus = _geometric_tau_offsets(eps)
     cos_tau = np.array([np.cos(tau) for tau in taus])[:, None]
     sin_tau = np.array([np.sin(tau) for tau in taus])[:, None]
     out = []
@@ -295,7 +290,7 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
         else:
             ok_a = frozenset(fa.vertex_indices) <= allowed_points
             ok_b = frozenset(fb.vertex_indices) <= allowed_points
-        sigmas = _dyadic_sigmas(eps, angle / 2.0, sigma_base_factor, sigma_ratio)
+        sigmas = _dyadic_sigmas(eps, angle / 2.0)
         positions = set()
         if ok_a:
             positions |= {sig for sig in sigmas}
@@ -322,7 +317,7 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
 
 def theorem_sweep(config: PointConfiguration, hull: HullDescription, epsilons,
                   global_plan: SamplePlan, boundary_per_facet: int,
-                  cap_radius: float = 0.5, cap_count_per_facet: int = 3000,
+                  cap_count_per_facet: int = 3000,
                   ladder_cap_count: int = 1500,
                   boundary_seed: int = 1234, config_id: str = "config") -> ConvergenceReport:
     """Epsilon sweep of the directed boundary distances.
@@ -341,7 +336,7 @@ def theorem_sweep(config: PointConfiguration, hull: HullDescription, epsilons,
     for eps in eps_list:
         t0 = time.perf_counter()
         cap_dirs = np.vstack([
-            cap_directions(config.dim, facet.outward_normal, eps, cap_radius,
+            cap_directions(facet.outward_normal, eps, COARSE_CAP_RADIUS,
                            cap_count_per_facet, ladder_cap_count,
                            global_plan.seed + 1 + 97 * k)
             for k, facet in enumerate(hull.facets)
@@ -369,23 +364,23 @@ def _face_center_direction(hull: HullDescription, face_id: int) -> np.ndarray:
 
 
 def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id: int,
-                     epsilons, probe_plan: SamplePlan,
+                     epsilons, cap_radius: float, count: int, seed: int,
+                     center_face: int | None = None,
                      face_sample_count: int = 400, face_seed: int = 99) -> FaceLimitReport:
     """Directed distances between probe-cap images and one face polytope.
 
-    The probe cap is centered on the plan's focus face (defaulting to the
-    probed face itself) and augmented with the dyadic eps-scale ladder;
-    only directions classified inside the face's open neighborhood on the
-    sphere are kept.
+    The probe cap, of angular ``cap_radius`` and ``count`` directions, is
+    centered on the face ``center_face`` (defaulting to the probed face
+    itself) and augmented with the dyadic eps-scale ladder of ``count``
+    directions per rung; only directions classified inside the face's open
+    neighborhood on the sphere are kept.
     """
     face = hull.faces[face_id]
     if face.dim < 1:
         raise ValueError("face probes need a face of dimension >= 1")
-    if probe_plan.focus is None:
-        raise ValueError("probe_plan.focus with a cap_radius is required")
     eps_list = _validate_epsilons(epsilons)
 
-    center_fid = probe_plan.focus.face_id if probe_plan.focus.face_id is not None else face_id
+    center_fid = face_id if center_face is None else center_face
     center = _face_center_direction(hull, center_fid)
     focus_set = frozenset(hull.faces[center_fid].vertex_indices)
     tube_edges = [fid for fid in _faces_below(hull, center_fid) | {center_fid}
@@ -396,8 +391,7 @@ def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id:
 
     records = []
     for eps in eps_list:
-        caps = cap_directions(probe_plan.dim, center, eps, probe_plan.focus.cap_radius,
-                              probe_plan.count, probe_plan.count, probe_plan.seed)
+        caps = cap_directions(center, eps, cap_radius, count, count, seed)
         tubes = arc_tube_directions(hull, eps, face_ids=tube_edges,
                                     allowed_points=focus_set)
         dirs = np.vstack([caps, tubes])
@@ -522,7 +516,7 @@ def degenerate_limit_probe(config: PointConfiguration, epsilons, plan: SamplePla
         caps = []
         for j, w in enumerate(span.normal_basis):
             for sgn, shift in ((1.0, 0), (-1.0, 1)):
-                caps.append(cap_directions(config.dim, sgn * w, eps, 0.5,
+                caps.append(cap_directions(sgn * w, eps, COARSE_CAP_RADIUS,
                                            plan.count, plan.count,
                                            plan.seed + 11 + 2 * j + shift))
         dirs = np.vstack([dirs_global] + caps)

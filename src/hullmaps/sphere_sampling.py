@@ -27,18 +27,6 @@ def default_strategy(dim: int) -> str:
 
 
 @dataclass(frozen=True)
-class CapFocus:
-    """Targeted-sampling parameters: angular cap radius, optional face id."""
-
-    cap_radius: float
-    face_id: int | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.cap_radius <= math.pi):
-            raise ValueError(f"cap_radius must lie in (0, pi], got {self.cap_radius!r}")
-
-
-@dataclass(frozen=True)
 class SamplePlan:
     """A reproducible direction-sampling request."""
 
@@ -46,7 +34,6 @@ class SamplePlan:
     strategy: str
     count: int
     seed: int = 0
-    focus: CapFocus | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -106,30 +93,31 @@ def _orthonormal_complement(center: np.ndarray) -> np.ndarray:
     return np.asarray(basis)
 
 
-def sample_near(plan: SamplePlan, center) -> np.ndarray:
-    """Quasi-uniform directions within the angular cap of ``plan.focus`` around center."""
-    if plan.focus is None:
-        raise ValueError("sample_near requires plan.focus with a cap_radius")
+def sample_near(center, radius: float, count: int, seed: int = 0) -> np.ndarray:
+    """``count`` quasi-uniform directions within angular ``radius`` of the unit
+    direction ``center``, whose length sets the dimension.  Only the d >= 4
+    construction draws from ``seed``."""
     c = unit_vector(center)
-    if c.shape[0] != plan.dim:
-        raise StrategyDimensionMismatchError(
-            f"center has dimension {c.shape[0]}, plan expects {plan.dim}"
-        )
-    r = plan.focus.cap_radius
-    count = plan.count
+    if not (0.0 < radius <= math.pi):
+        raise ValueError(f"cap_radius must lie in (0, pi], got {radius!r}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    dim = c.shape[0]
+    if dim < 2:
+        raise ValueError("sphere sampling needs dim >= 2")
     if count == 1:
         return c[None, :].copy()
 
-    if plan.dim == 2:
+    if dim == 2:
         base = math.atan2(c[1], c[0])
-        offs = -r + 2.0 * r * (np.arange(count) + 0.5) / count
+        offs = -radius + 2.0 * radius * (np.arange(count) + 0.5) / count
         theta = base + offs
         return np.column_stack([np.cos(theta), np.sin(theta)])
 
-    if plan.dim == 3:
+    if dim == 3:
         # area-uniform spiral: first sample sits exactly at the cap center
         i = np.arange(count)
-        cos_t = 1.0 - (1.0 - math.cos(r)) * i / count
+        cos_t = 1.0 - (1.0 - math.cos(radius)) * i / count
         sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
         phi = i * GOLDEN_ANGLE
         basis = _orthonormal_complement(c)
@@ -141,21 +129,21 @@ def sample_near(plan: SamplePlan, center) -> np.ndarray:
         )
 
     # generic dimension: geodesic construction with rejection-sampled polar angle
-    rng = np.random.default_rng(plan.seed)
+    rng = np.random.default_rng(seed)
     basis = _orthonormal_complement(c)
-    dm2 = plan.dim - 2
-    sin_peak = math.sin(min(r, math.pi / 2.0)) ** dm2
-    out = np.empty((count, plan.dim))
+    dm2 = dim - 2
+    sin_peak = math.sin(min(radius, math.pi / 2.0)) ** dm2
+    out = np.empty((count, dim))
     out[0] = c
     k, tries = 1, 0
     while k < count:
         if tries == MAX_TRIES_PER_SAMPLE * count:
             raise SamplingExhaustedError(f"cap: {k} of {count} samples after {tries} tries")
         tries += 1
-        theta = rng.uniform(0.0, r)
+        theta = rng.uniform(0.0, radius)
         if rng.uniform(0.0, sin_peak) > math.sin(theta) ** dm2:
             continue
-        w = rng.standard_normal(plan.dim - 1)
+        w = rng.standard_normal(dim - 1)
         nrm = np.linalg.norm(w)
         if nrm < 1e-12:
             continue

@@ -19,12 +19,7 @@ def _slerp(a: np.ndarray, b: np.ndarray, angle: float, t: float) -> np.ndarray:
 
 
 def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
-                        allowed_points=None,
-                        tau_base_factor: float = 0.125,
-                        tau_max_factor: float = 4096.0,
-                        tau_ratio: float = 1.4,
-                        sigma_base_factor: float = 0.5,
-                        sigma_ratio: float = 1.5) -> np.ndarray:
+                        allowed_points=None) -> np.ndarray:
     """Directions in thin tubes around the spherical-dual arcs of edges (d = 3)."""
     if hull.dim != 3:
         return np.empty((0, hull.dim))
@@ -34,7 +29,7 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
         wanted = set(face_ids)
         edges = [e for e in edges if e.face_id in wanted]
 
-    taus = _geometric_tau_offsets(eps, tau_base_factor, tau_max_factor, tau_ratio)
+    taus = _geometric_tau_offsets(eps)
     out = []
     for edge in edges:
         if len(edge.incident_facets) != 2:
@@ -50,7 +45,7 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
         else:
             ok_a = frozenset(fa.vertex_indices) <= allowed_points
             ok_b = frozenset(fb.vertex_indices) <= allowed_points
-        sigmas = _dyadic_sigmas(eps, angle / 2.0, sigma_base_factor, sigma_ratio)
+        sigmas = _dyadic_sigmas(eps, angle / 2.0)
         positions = set()
         if ok_a:
             positions |= {sig for sig in sigmas}

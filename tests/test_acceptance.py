@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hullmaps import (
-    CapFocus,
     SamplePlan,
     arctan_family,
     build_configuration,
@@ -219,9 +218,7 @@ def test_criterion_07_face_limits():
         tri_hull = build_hull(tri)
         edge = [f for f in tri_hull.faces
                 if f.dim == 1 and set(f.vertex_indices) == {1, 2}][0]
-        plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=3000, seed=5,
-                          focus=CapFocus(0.4))
-        rep = face_limit_probe(tri, tri_hull, edge.face_id, eps_list, plan)
+        rep = face_limit_probe(tri, tri_hull, edge.face_id, eps_list, 0.4, 3000, 5)
         last = rep.records[-1]
         assert last.image_to_face < 0.05 * tri_hull.diameter
         assert last.face_to_image < 0.05 * tri_hull.diameter
@@ -233,18 +230,15 @@ def test_criterion_07_face_limits():
         cube_hull = build_hull(cube)
         top = [f for f in cube_hull.facets
                if np.allclose(f.outward_normal, [0, 0, 1])][0]
-        plan3 = SamplePlan(dim=3, strategy="fibonacci_3d", count=4000, seed=6,
-                           focus=CapFocus(0.3))
-        rep3 = face_limit_probe(cube, cube_hull, top.face_id, eps_list, plan3)
+        rep3 = face_limit_probe(cube, cube_hull, top.face_id, eps_list, 0.3, 4000, 6)
         last3 = rep3.records[-1]
         assert last3.image_to_face < 0.05 * cube_hull.diameter
         assert last3.face_to_image < 0.05 * cube_hull.diameter
 
         # negative control: probe confined to one vertex's open cell
         vertex = [f for f in tri_hull.faces if f.vertex_indices == (1,)][0]
-        neg_plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=3000, seed=5,
-                              focus=CapFocus(0.2, face_id=vertex.face_id))
-        neg = face_limit_probe(tri, tri_hull, edge.face_id, [1e-4], neg_plan)
+        neg = face_limit_probe(tri, tri_hull, edge.face_id, [1e-4], 0.2, 3000, 5,
+                               center_face=vertex.face_id)
         edge_length = float(np.sqrt(2.0))
         assert neg.records[0].face_to_image > 0.2 * edge_length
 

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
@@ -311,3 +315,86 @@ def test_non_finite_points_exit_2(tmp_path, bad):
     assert main(["converge", str(src), "--out", out, "--samples", "10",
                  "--eps-list", "0.1"]) == 2
     assert not (tmp_path / "o.csv").exists()
+
+
+# the flags each subcommand registers, all of which it reads
+SUBCOMMAND_FLAGS = {
+    "approx": {"--out", "--tol-distinct", "--tol-coplanar", "--seed", "--eps", "--samples",
+               "--strategy", "--cap-center", "--cap-radius", "--render"},
+    "hull": {"--out", "--tol-distinct", "--tol-coplanar"},
+    "dual": {"--out", "--tol-distinct", "--tol-coplanar"},
+    "converge": {"--out", "--tol-distinct", "--tol-coplanar", "--seed", "--eps-list",
+                 "--samples", "--strategy", "--boundary-per-facet", "--degenerate"},
+    "classify": {"--out", "--tol-distinct", "--tol-coplanar", "--tol-tie", "--direction"},
+}
+
+
+def _subparsers():
+    from hullmaps.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which of its attributes are read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_subcommand_registers_exactly_the_flags_it_reads(tmp_path, cube_csv, tri_csv):
+    from hullmaps import cli
+
+    parser, subs = _subparsers()
+    assert set(subs) == set(SUBCOMMAND_FLAGS)
+    for name, sub in subs.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == SUBCOMMAND_FLAGS[name], name
+    out = str(tmp_path / "o.csv")
+    runs = {  # together, these take every branch that reads a flag
+        "approx": [["approx", tri_csv, "--out", out, "--samples", "20", "--render", "svg"],
+                   ["approx", cube_csv, "--out", out, "--samples", "20",
+                    "--cap-center", "0,0,1", "--cap-radius", "0.3"]],
+        "hull": [["hull", cube_csv, "--out", out]],
+        "dual": [["dual", cube_csv, "--out", out]],
+        "converge": [["converge", tri_csv, "--out", out, "--samples", "50",
+                      "--eps-list", "0.1", "--boundary-per-facet", "5"]],
+        "classify": [["classify", cube_csv, "--direction", "0,0,1"]],
+    }
+    for name, argvs in runs.items():
+        read = set()
+        for argv in argvs:
+            args = parser.parse_args(argv, namespace=_ReadRecorder())
+            args.__dict__.pop("_read", None)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli._HANDLERS[name](args) == 0
+            read |= args.__dict__.get("_read", set())
+        dests = {a.dest for a in subs[name]._actions} - {"help", "input"}
+        assert dests <= read, (name, dests - read)
+
+
+@pytest.mark.parametrize("subcommand, flag, value", [
+    ("approx", "--tol-tie", "0.1"), ("hull", "--tol-tie", "0.1"), ("dual", "--tol-tie", "0.1"),
+    ("converge", "--tol-tie", "0.1"), ("hull", "--seed", "1"), ("dual", "--seed", "1"),
+    ("classify", "--seed", "1"),
+])
+def test_dropped_flags_are_usage_errors(tmp_path, cube_csv, capsys, subcommand, flag, value):
+    extra = ["--direction", "0,0,1"] if subcommand == "classify" else []
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, cube_csv, "--out", str(tmp_path / "o.txt"), flag, value] + extra)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cube.csv"]
+
+
+def test_cap_center_of_wrong_dimension_exit_2(tmp_path, cube_csv, capsys):
+    out = tmp_path / "cap.csv"
+    for center in ("0,1", "0,0,0,1"):
+        assert main(["approx", cube_csv, "--out", str(out), "--cap-center", center,
+                     "--cap-radius", "0.3"]) == 2
+        assert "the points have d = 3" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cube.csv"]

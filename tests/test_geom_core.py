@@ -12,7 +12,6 @@ from hullmaps import (
     unit_vector,
     write_points_csv,
 )
-from hullmaps.geom_core import AffineHyperplane
 from tests.pair_table import pair_table
 
 TABLE_SIZES = [(1000, 3), (200, 6), (20, 3), (8, 2), (50, 4), (300, 5), (2, 1)]
@@ -172,13 +171,6 @@ def test_unit_vector_validation():
     assert v.shape == (2,)
     with pytest.raises(ValueError):
         unit_vector([0.6, 0.9])
-
-
-def test_hyperplane_membership():
-    h = AffineHyperplane(normal=np.array([0.0, 1.0]), offset=2.0)
-    assert h.contains([5.0, 2.0])
-    assert not h.contains([0.0, 0.0])
-    assert h.signed_distance([0.0, 3.5]) == pytest.approx(1.5)
 
 
 def test_points_csv_roundtrip(tmp_path):

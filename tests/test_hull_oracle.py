@@ -21,6 +21,7 @@ from hullmaps import (
     cli,
     distances_to_boundary,
     distances_to_face,
+    face_limit_probe,
     in_normal_spherical_polytope,
     minimal_face_containing,
     sample_boundary,
@@ -391,6 +392,36 @@ def test_sample_face_points_on_edge(cube_hull):
     edge = [f for f in cube_hull.faces if f.dim == 1][0]
     pts = sample_face_points(cube_hull, edge.face_id, 50, seed=3)
     assert distances_to_face(cube_hull, edge.face_id, pts).max() < 1e-12
+
+
+@pytest.mark.parametrize("hull_points", [
+    np.random.default_rng(0).standard_normal((12, 4)),
+    np.random.default_rng(1).standard_normal((10, 5)),
+    np.array(list(itertools.product((-1.0, 1.0), repeat=4))),
+], ids=["gauss-d4", "gauss-d5", "cube-d4"])
+def test_sample_face_points_on_two_faces_in_high_dimension(hull_points):
+    """Every 2-face of a d = 4 or 5 hull is sampled from its face-local
+    coordinates: each sample lies within the coplanarity tolerance of the
+    face, and on the 4-cube's square 2-faces the two fan triangles get equal
+    weight, so the samples centre on the square."""
+    hull = build_hull(build_configuration(hull_points))
+    two_faces = [f for f in hull.faces if f.dim == 2]
+    assert two_faces
+    for face in two_faces:
+        pts = sample_face_points(hull, face.face_id, 400, seed=4)
+        assert distances_to_face(hull, face.face_id, pts).max() <= hull.coplanarity_tol
+        if len(face.vertex_indices) == 4:
+            centre = hull.face_points(face.face_id).mean(axis=0)
+            assert np.abs(pts.mean(axis=0) - centre).max() < 0.1
+
+
+def test_face_limit_probe_on_two_face_in_d4():
+    config = build_configuration(np.random.default_rng(0).standard_normal((12, 4)))
+    hull = build_hull(config)
+    face = next(f for f in hull.faces if f.dim == 2)
+    rep = face_limit_probe(config, hull, face.face_id, [1e-2], 0.3, 40, 1,
+                           face_sample_count=50)
+    assert rep.records[0].n_probe > 0
 
 
 def test_minimal_face_containing(cube_hull):

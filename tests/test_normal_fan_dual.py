@@ -354,19 +354,23 @@ def test_vertex_cells_and_convexity_match_loop():
             got = normal_fan_dual._vertex_cells(h)
             want = hull_loop.vertex_cells(h)
             assert [(i, p.tolist()) for i, p in got] == [(i, p.tolist()) for i, p in want]
+            cells = [p for _, p in got]
             for tol in (1e-12, 1e-7, 1e-4, 1e-2):
-                # any transform will do: only flattened_convex is compared
-                verdict = dual_combinatorics_check(h, tol, transform=h).flattened_convex
+                # the convexity half of the check: a transform hull's own
+                # normals can exceed the 1000-point limit of its other half
+                verdict = normal_fan_dual._flattened_convex(h, cells, tol)
+                if h is hull:
+                    assert dual_combinatorics_check(h, tol).flattened_convex == verdict
                 assert verdict == hull_loop.flattened_convex(h, tol)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
-def test_dual_check_without_transform_matches_transform():
-    """Without a transform the check finds only the normals' facets; both
-    booleans equal those computed against the normals' full hull, on the
-    duality polytopes, seeded sets and seven perturbed cubes, three of which
-    keep equivalent=False, flattened_convex=True."""
+def test_dual_check_equivalent_matches_transform_facets():
+    """The check finds only the normals' facets; its ``equivalent`` equals the
+    comparison of the vertex stars with the facet sets of the normals' full
+    hull, on the duality polytopes, seeded sets and seven perturbed cubes,
+    three of which keep equivalent=False, flattened_convex=True."""
     rng = np.random.default_rng(21)
     cases = [np.asarray(pts, dtype=float) for pts in _duality_polytopes()]
     cases += [rng.standard_normal((n, 3)) for n in (5, 8, 12, 20, 40, 100)]
@@ -379,7 +383,9 @@ def test_dual_check_without_transform_matches_transform():
     for pts in cases + cubes:
         hull = build_hull(build_configuration(pts))
         got = dual_combinatorics_check(hull)
-        assert got == dual_combinatorics_check(hull, transform=outer_normal_transform(hull))
+        stars = {frozenset(p.tolist()) for _, p in normal_fan_dual._vertex_cells(hull)}
+        facet_sets = {frozenset(f.vertex_indices) for f in outer_normal_transform(hull).facets}
+        assert got.equivalent == (stars == facet_sets)
         split.append((got.equivalent, got.flattened_convex) == (False, True))
     assert not any(split[:len(cases)])
     assert split[len(cases):] == [False] * 4 + [True] * 3

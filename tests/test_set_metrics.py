@@ -3,7 +3,6 @@ import pytest
 from scipy.spatial import cKDTree
 
 from hullmaps import (
-    CapFocus,
     EmptyProbeError,
     EmptySetError,
     RequiresDegenerateError,
@@ -79,7 +78,7 @@ def test_inner_distances_equal_default_tree_and_brute_force(eps):
     cfg = build_configuration(rng.standard_normal((20, 3)))
     hull = build_hull(cfg)
     dirs = np.vstack([sample(SamplePlan(dim=3, strategy="fibonacci_3d", count=1250))] + [
-        cap_directions(3, facet.outward_normal, eps, 0.5, 375, 188, 1 + 97 * k)
+        cap_directions(facet.outward_normal, eps, 0.5, 375, 188, 1 + 97 * k)
         for k, facet in enumerate(hull.facets)
     ] + [arc_tube_directions(hull, eps)])
     images = evaluate_batch_array(cfg, eps, dirs)
@@ -152,10 +151,8 @@ def test_tetrahedron_inner_at_moderate_eps(tetrahedron, tetrahedron_hull):
 def test_face_limit_probe_triangle_edge(triangle, triangle_hull):
     edge = [f for f in triangle_hull.faces
             if f.dim == 1 and set(f.vertex_indices) == {1, 2}][0]
-    plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=2000, seed=5,
-                      focus=CapFocus(0.4))
     rep = face_limit_probe(triangle, triangle_hull, edge.face_id,
-                           [1e-1, 1e-2, 1e-3, 1e-4], plan)
+                           [1e-1, 1e-2, 1e-3, 1e-4], 0.4, 2000, 5)
     img2face = [r.image_to_face for r in rep.records]
     face2img = [r.face_to_image for r in rep.records]
     assert all(b < a for a, b in zip(img2face, img2face[1:]))
@@ -168,9 +165,8 @@ def test_face_limit_probe_negative_control(triangle, triangle_hull):
     edge = [f for f in triangle_hull.faces
             if f.dim == 1 and set(f.vertex_indices) == {1, 2}][0]
     vertex = [f for f in triangle_hull.faces if f.vertex_indices == (1,)][0]
-    plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=2000, seed=5,
-                      focus=CapFocus(0.2, face_id=vertex.face_id))
-    rep = face_limit_probe(triangle, triangle_hull, edge.face_id, [1e-4], plan)
+    rep = face_limit_probe(triangle, triangle_hull, edge.face_id, [1e-4], 0.2, 2000, 5,
+                           center_face=vertex.face_id)
     edge_len = np.sqrt(2.0)
     assert rep.records[0].face_to_image > 0.2 * edge_len
     assert rep.records[0].image_to_face < 0.01
@@ -181,21 +177,18 @@ def test_face_limit_probe_empty(triangle, triangle_hull):
     edge = [f for f in triangle_hull.faces
             if f.dim == 1 and set(f.vertex_indices) == {1, 2}][0]
     outside_vertex = [f for f in triangle_hull.faces if f.vertex_indices == (0,)][0]
-    plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=100, seed=1,
-                      focus=CapFocus(0.1, face_id=outside_vertex.face_id))
     with pytest.raises(EmptyProbeError):
-        face_limit_probe(triangle, triangle_hull, edge.face_id, [1e-3], plan)
+        face_limit_probe(triangle, triangle_hull, edge.face_id, [1e-3], 0.1, 100, 1,
+                         center_face=outside_vertex.face_id)
 
 
 def test_face_limit_probe_guards(triangle, triangle_hull):
     vertex = [f for f in triangle_hull.faces if f.dim == 0][0]
-    plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=10, focus=CapFocus(0.1))
-    with pytest.raises(ValueError):
-        face_limit_probe(triangle, triangle_hull, vertex.face_id, [1e-2], plan)
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        face_limit_probe(triangle, triangle_hull, vertex.face_id, [1e-2], 0.1, 10, 0)
     edge = [f for f in triangle_hull.faces if f.dim == 1][0]
-    no_focus = SamplePlan(dim=2, strategy="uniform_grid_2d", count=10)
-    with pytest.raises(ValueError):
-        face_limit_probe(triangle, triangle_hull, edge.face_id, [1e-2], no_focus)
+    with pytest.raises(ValueError, match="cap_radius must lie in"):
+        face_limit_probe(triangle, triangle_hull, edge.face_id, [1e-2], 0.0, 10, 0)
 
 
 def test_degenerate_probe_collinear():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hullmaps import (
-    CapFocus,
     SamplePlan,
     SamplingExhaustedError,
     StrategyDimensionMismatchError,
@@ -57,21 +56,17 @@ def test_plan_validation():
         SamplePlan(dim=2, strategy="uniform_grid_2d", count=0)
     with pytest.raises(ValueError):
         SamplePlan(dim=2, strategy="no_such_strategy", count=5)
-    with pytest.raises(ValueError):
-        CapFocus(cap_radius=0.0)
 
 
 def test_cap_single_sample_is_center():
     center = np.array([0.0, 0.0, 1.0])
-    plan = SamplePlan(dim=3, strategy="fibonacci_3d", count=1, focus=CapFocus(0.3))
-    out = sample_near(plan, center)
+    out = sample_near(center, 0.3, 1)
     assert np.array_equal(out, center[None, :])
 
 
 def test_cap_containment_3d():
     center = np.array([0.0, 0.0, 1.0])
-    plan = SamplePlan(dim=3, strategy="fibonacci_3d", count=100, focus=CapFocus(0.1))
-    out = sample_near(plan, center)
+    out = sample_near(center, 0.1, 100)
     assert out.shape == (100, 3)
     assert np.all(out @ center >= np.cos(0.1))
     assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
@@ -79,8 +74,7 @@ def test_cap_containment_3d():
 
 def test_cap_containment_2d():
     center = np.array([1.0, 0.0])
-    plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=64, focus=CapFocus(0.25))
-    out = sample_near(plan, center)
+    out = sample_near(center, 0.25, 64)
     assert np.all(out @ center >= np.cos(0.25) - 1e-15)
 
 
@@ -88,11 +82,9 @@ def test_cap_containment_generic_dim():
     rng = np.random.default_rng(2)
     center = rng.standard_normal(4)
     center /= np.linalg.norm(center)
-    plan = SamplePlan(dim=4, strategy="gaussian_random", count=60, seed=5,
-                      focus=CapFocus(0.2))
-    out = sample_near(plan, center)
+    out = sample_near(center, 0.2, 60, seed=5)
     assert np.all(out @ center >= np.cos(0.2) - 1e-12)
-    again = sample_near(plan, center)
+    again = sample_near(center, 0.2, 60, seed=5)
     assert np.array_equal(out, again)
 
 
@@ -100,8 +92,7 @@ def test_generic_cap_rejection_sampler_is_bounded(monkeypatch):
     """In d >= 4 the cap is filled by rejection; a generator whose every
     transverse draw is rejected raises a typed error instead of looping on."""
     center = np.eye(5)[0]
-    plan = SamplePlan(dim=5, strategy="gaussian_random", count=3, seed=1, focus=CapFocus(0.3))
-    assert sample_near(plan, center).shape == (3, 5)
+    assert sample_near(center, 0.3, 3, seed=1).shape == (3, 5)
     numpy_rng = np.random.default_rng
 
     class ZeroNormalRng:
@@ -116,31 +107,37 @@ def test_generic_cap_rejection_sampler_is_bounded(monkeypatch):
 
     monkeypatch.setattr(sphere_sampling.np.random, "default_rng", ZeroNormalRng)
     with pytest.raises(SamplingExhaustedError, match="1 of 3 samples after 30000 tries"):
-        sample_near(plan, center)
+        sample_near(center, 0.3, 3, seed=1)
 
 
 def test_cap_unit_norm_near_axis():
     """Centers a few microradians off an axis or a coordinate plane, where an
     axis residual is short, still give directions of norm 1 within 1e-12."""
     for d in (3, 4, 5):
-        strategy = "fibonacci_3d" if d == 3 else "gaussian_random"
         for head in ([1.0, 2e-6], [1.0, 1e-5], [0.6, 0.8, 2e-6]):
             center = np.zeros(d)
             center[:len(head)] = head
             center /= np.linalg.norm(center)
-            plan = SamplePlan(dim=d, strategy=strategy, count=200, focus=CapFocus(1.0))
-            out = sample_near(plan, center)
+            out = sample_near(center, 1.0, 200)
             assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
 
 
 def test_full_cap_reaches_everywhere():
     center = np.array([0.0, 0.0, 1.0])
-    plan = SamplePlan(dim=3, strategy="fibonacci_3d", count=4000, focus=CapFocus(np.pi))
-    out = sample_near(plan, center)
+    out = sample_near(center, np.pi, 4000)
     assert out[:, 2].min() < -0.99  # reaches near the antipode
 
 
-def test_cap_requires_focus():
-    plan = SamplePlan(dim=3, strategy="fibonacci_3d", count=10)
-    with pytest.raises(ValueError):
-        sample_near(plan, [0.0, 0.0, 1.0])
+def test_cap_request_validation():
+    """The radius must lie in (0, pi], the count be positive and the center a
+    unit direction of dimension >= 2."""
+    center = [0.0, 0.0, 1.0]
+    for radius in (0.0, -0.1, np.pi + 1e-9, float("nan")):
+        with pytest.raises(ValueError, match="cap_radius must lie in"):
+            sample_near(center, radius, 10)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sample_near(center, 0.3, 0)
+    with pytest.raises(ValueError, match="not 1 within"):
+        sample_near([0.0, 0.0, 2.0], 0.3, 10)
+    with pytest.raises(ValueError, match="dim >= 2"):
+        sample_near([1.0], 0.3, 10)
