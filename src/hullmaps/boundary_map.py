@@ -11,9 +11,10 @@ configuration's coordinate-major ``pair_planes``, read in place.  It fills
 ``log_c`` in tiles of at most ``_CHUNK_BUDGET`` floats of (k, i, j) buffer:
 runs of whole direction rows while ``n*n`` fits, otherwise one direction and
 a slice of i rows.  The batch's directions are cut into one run per CPU in
-the process's affinity mask, and a thread pool, started by the first batch
-of more than one run, takes the runs; a batch of one run (every
-one-direction call among them) stays on the calling thread.  A run finishes
+the process's affinity mask.  A batch of more than one run starts a worker
+thread per run and joins them before it returns, so no kernel thread
+outlives a call; a batch of one run (every one-direction call among them)
+stays on the calling thread.  A run finishes
 one block of rows (``log_c``, then the weights, then the images) before it
 starts the next, and when only images are wanted a block's ``log_c`` and
 weights live in per-run scratch, so no (N, n) array is made.
@@ -48,14 +49,13 @@ batch is cut into tiles, blocks and runs, or on the number of workers.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndexOutOfRangeError, NumericalOverflowError
-from .geom_core import UNIT_NORM_TOL, PointConfiguration, unit_vector
+from .geom_core import PointConfiguration, unit_direction, unit_directions
 
 MAX_POINTS = 1000
 MAX_DIM = 6
@@ -76,28 +76,6 @@ def _cpu_count() -> int:
 
 
 _WORKERS = _cpu_count()  # kernel runs per batch: one per CPU the process may use
-_pool = None  # started by the first batch of more than one run
-_pool_lock = threading.Lock()
-
-
-def _kernel_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="hullmaps-kernel")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object, and perhaps a held lock, but
-    # none of the threads
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -137,20 +115,6 @@ def _validate(config: PointConfiguration, epsilon: float) -> None:
 def _check_index(config: PointConfiguration, i: int) -> None:
     if not (0 <= i < config.n_points):
         raise IndexOutOfRangeError(f"index {i} outside 0..{config.n_points - 1}")
-
-
-def _as_dir_batch(config: PointConfiguration, dirs) -> np.ndarray:
-    arr = np.ascontiguousarray(dirs, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != config.dim:
-        raise ValueError(f"directions must have shape (N, {config.dim})")
-    if arr.size:
-        nrm = np.linalg.norm(arr, axis=1)
-        worst = float(np.abs(nrm - 1.0).max())
-        if not worst <= UNIT_NORM_TOL:  # also rejects NaN rows
-            raise ValueError(f"directions must be unit vectors (worst norm error {worst:g})")
-    return arr
 
 
 def _tile_shape(n: int) -> tuple[int, int]:
@@ -310,7 +274,8 @@ def _eval_batch(points, planes, eps, dirs, images_only=False):
     in place.  The dots accumulate coordinate by coordinate, never through a
     matrix product, whose blocking would make a row's rounding depend on the
     batch size.  The directions are cut into at most ``_WORKERS`` runs of
-    whole tiles, and several runs go to the kernel pool.  With
+    whole tiles; several runs go to as many worker threads, joined before
+    the call returns.  With
     ``images_only`` lambdas and log_c are None, and a run's scratch holds one
     block of them.
     """
@@ -330,10 +295,11 @@ def _eval_batch(points, planes, eps, dirs, images_only=False):
     if runs == 1:
         _run(planes, points, eps, dirs, out, 0, nb, *bufs[0], scratch[0])
     else:
-        jobs = [_kernel_pool().submit(_run, planes, points, eps, dirs, out, a, b, *buf, sc)
-                for a, b, buf, sc in zip(cuts, cuts[1:], bufs, scratch)]
-        for job in jobs:
-            job.result()
+        with ThreadPoolExecutor(max_workers=runs, thread_name_prefix="hullmaps-kernel") as pool:
+            jobs = [pool.submit(_run, planes, points, eps, dirs, out, a, b, *buf, sc)
+                    for a, b, buf, sc in zip(cuts, cuts[1:], bufs, scratch)]
+            for job in jobs:
+                job.result()
     return out
 
 
@@ -344,7 +310,7 @@ def c_factor(config: PointConfiguration, i: int, j: int, epsilon: float, n) -> f
     _check_index(config, j)
     if i == j:
         raise ValueError("pair factor requires i != j")
-    d = unit_vector(n)
+    d = unit_direction(n, config.dim)
     nij = np.ascontiguousarray(config.pairwise_dirs[i, j])  # BLAS rounds strided dots differently
     return epsilon + max(0.0, -float(np.dot(d, nij)))
 
@@ -352,7 +318,7 @@ def c_factor(config: PointConfiguration, i: int, j: int, epsilon: float, n) -> f
 def weights(config: PointConfiguration, epsilon: float, direction) -> WeightVector:
     """Normalized point weights for one direction (log-domain, underflow-safe)."""
     _validate(config, epsilon)
-    d = unit_vector(direction)
+    d = unit_direction(direction, config.dim)
     lam, log_c, _ = _eval_batch(config.points, config.pair_planes, epsilon, d[None, :])
     return WeightVector(epsilon=epsilon, direction=d, lambdas=lam[0], log_c=log_c[0])
 
@@ -360,7 +326,7 @@ def weights(config: PointConfiguration, epsilon: float, direction) -> WeightVect
 def evaluate(config: PointConfiguration, epsilon: float, direction) -> MapImage:
     """Map one direction to its image point, a weighted average of the points."""
     _validate(config, epsilon)
-    d = unit_vector(direction)
+    d = unit_direction(direction, config.dim)
     _, _, img = _eval_batch(
         config.points, config.pair_planes, epsilon, d[None, :], images_only=True
     )
@@ -374,20 +340,20 @@ def evaluate_batch_array(config: PointConfiguration, epsilon: float, dirs) -> np
     calling :func:`evaluate` per direction, regardless of batch splits.
     """
     _validate(config, epsilon)
-    arr = _as_dir_batch(config, dirs)
+    arr = unit_directions(dirs, config.dim)
     return _eval_batch(config.points, config.pair_planes, epsilon, arr, images_only=True)[2]
 
 
 def weights_batch_array(config: PointConfiguration, epsilon: float, dirs):
     """(lambdas, log_c, images) arrays for a batch of directions; every ``log_c`` row is filled."""
     _validate(config, epsilon)
-    arr = _as_dir_batch(config, dirs)
+    arr = unit_directions(dirs, config.dim)
     return _eval_batch(config.points, config.pair_planes, epsilon, arr)
 
 
 def evaluate_batch(config: PointConfiguration, epsilon: float, dirs) -> list[MapImage]:
     """Batch version of :func:`evaluate` returning one MapImage per direction."""
-    arr = _as_dir_batch(config, dirs)
+    arr = unit_directions(dirs, config.dim)
     _validate(config, epsilon)
     img = _eval_batch(config.points, config.pair_planes, epsilon, arr, images_only=True)[2]
     return [MapImage(direction=arr[k], point=img[k]) for k in range(arr.shape[0])]
@@ -401,7 +367,7 @@ def limit_factor(config: PointConfiguration, i: int, n) -> float:
     positive dimension.
     """
     _check_index(config, i)
-    d = unit_vector(n)
+    d = unit_direction(n, config.dim)
     row = np.ascontiguousarray(config.pairwise_dirs[i])  # BLAS rounds strided dots differently
     acc = 1.0
     for j in range(config.n_points):

@@ -21,8 +21,6 @@ from .errors import (
     HullMapsError,
     NumericalOverflowError,
     RequiresDegenerateError,
-    StrategyDimensionMismatchError,
-    TooManyPointsError,
 )
 from .geom_core import build_configuration, read_points_csv
 from .hull_oracle import build_hull, classify_direction
@@ -48,6 +46,8 @@ def _load_config(args: argparse.Namespace):
 def cmd_approx(args: argparse.Namespace) -> int:
     if (args.cap_center is None) != (args.cap_radius is None):
         raise ValueError("--cap-center and --cap-radius must be given together")
+    if args.cap_center is not None and args.strategy is not None:
+        raise ValueError("--strategy does not apply to a cap sample (--cap-center)")
     config = _load_config(args)
     render_dim = {"svg": 2, "obj": 3}.get(args.render)
     if render_dim is not None and config.dim != render_dim:
@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="evaluate the map over a direction sample")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="drawn from only by gaussian_random plans and by caps in d >= 4")
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--strategy", choices=["uniform_grid_2d", "fibonacci_3d", "gaussian_random"])
@@ -204,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="epsilon sweep of boundary distances")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="drawn from only by gaussian_random plans and by caps in d >= 4")
     p.add_argument("--eps-list", type=_parse_floats, default=(),
                    help="comma-separated decreasing epsilons")
     p.add_argument("--samples", type=int, default=10000)
@@ -245,8 +247,7 @@ def main(argv=None) -> int:
     except (NumericalOverflowError, AmbiguousTieError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, DimensionUnsupportedError, StrategyDimensionMismatchError,
-            TooManyPointsError, HullMapsError) as exc:
+    except (ValueError, HullMapsError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -26,6 +26,39 @@ def unit_vector(coords) -> np.ndarray:
     return v
 
 
+def unit_direction(coords, dim: int) -> np.ndarray:
+    """:func:`unit_vector` of a direction in R^dim.
+
+    Raises DimensionMismatchError unless ``coords`` is one vector of ``dim``
+    components, then ValueError as :func:`unit_vector` does.
+    """
+    v = np.ascontiguousarray(coords, dtype=float)
+    if v.shape != (dim,):
+        raise DimensionMismatchError(
+            f"a direction in R^{dim} must have shape ({dim},), got {v.shape}")
+    return unit_vector(v)
+
+
+def unit_directions(dirs, dim: int) -> np.ndarray:
+    """Unit directions in R^dim as a C-contiguous (N, dim) array; one vector is one row.
+
+    Raises DimensionMismatchError for any other shape, and ValueError when a
+    row's norm differs from 1 by more than ``UNIT_NORM_TOL`` or is not finite.
+    """
+    arr = np.ascontiguousarray(dirs, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatchError(f"directions in R^{dim} must have shape (N, {dim}), "
+                                     f"got {np.shape(dirs)}")
+    if arr.size:
+        nrm = np.linalg.norm(arr, axis=1)
+        worst = float(np.abs(nrm - 1.0).max())
+        if not worst <= UNIT_NORM_TOL:  # also rejects NaN rows
+            raise ValueError(f"directions must be unit vectors (worst norm error {worst:g})")
+    return arr
+
+
 class PointConfiguration:
     """n labeled points in R^d with cached pairwise unit directions.
 

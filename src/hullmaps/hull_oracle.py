@@ -35,7 +35,8 @@ from .errors import (
     TooManyPointsError,
 )
 from .boundary_map import MAX_DIM, MAX_POINTS
-from .geom_core import DEFAULT_RANK_TOL, PointConfiguration, is_nondegenerate, unit_vector
+from .geom_core import (DEFAULT_RANK_TOL, PointConfiguration, is_nondegenerate, unit_direction,
+                        unit_directions)
 
 DEFAULT_TOL_REL = 1e-9
 MAX_TRIES_PER_SAMPLE = 10_000  # rejection-sampling budget per requested sample
@@ -363,7 +364,7 @@ def classify_direction(hull: HullDescription, n, tie_tol: float | None = None) -
     point set of a face, and ValueError for a tie_tol that is not finite or
     is negative.
     """
-    d = unit_vector(n)
+    d = unit_direction(n, hull.config.dim)
     tie_tol = _tie_tol(hull, tie_tol)
     s = hull.config.points @ d
     top = float(s.max())
@@ -379,7 +380,7 @@ def classify_direction(hull: HullDescription, n, tie_tol: float | None = None) -
 
 def support_margin(hull: HullDescription, n) -> float:
     """Gap between the two largest support values for a direction."""
-    s = np.sort(hull.config.points @ unit_vector(n))
+    s = np.sort(hull.config.points @ unit_direction(n, hull.config.dim))
     return float(s[-1] - s[-2])
 
 
@@ -388,9 +389,11 @@ def classify_directions_bulk(hull: HullDescription, dirs, tie_tol: float | None 
 
     Returns the face id per direction, or -1 where the maximizing set is not
     a face (the ambiguous-tie case surfaced as an error by the scalar path).
-    Raises ValueError for a tie_tol that is not finite or is negative.
+    Raises DimensionMismatchError for rows of another length than the
+    points, and ValueError for a row that is not a unit vector or a tie_tol
+    that is not finite or is negative.
     """
-    arr = np.atleast_2d(np.asarray(dirs, dtype=float))
+    arr = unit_directions(dirs, hull.config.dim)
     tie_tol = _tie_tol(hull, tie_tol)
     s = arr @ hull.config.points.T
     top = s.max(axis=1)
@@ -416,7 +419,7 @@ def in_normal_spherical_polytope(config: PointConfiguration, i: int, n, strict: 
     """
     if not (0 <= i < config.n_points):
         raise IndexOutOfRangeError(f"index {i} outside 0..{config.n_points - 1}")
-    d = unit_vector(n)
+    d = unit_direction(n, config.dim)
     # a contiguous copy of the row: BLAS rounds a product with the strided
     # (n, n, d) view differently, which could flip the sign of a zero dot
     dots = np.ascontiguousarray(config.pairwise_dirs[i]) @ d
@@ -537,6 +540,34 @@ def _face_within(hull: HullDescription, facet_dists: np.ndarray, tol: float):
     return hull.face_by_points(inter)
 
 
+def _fan_samples(verts: np.ndarray, local: np.ndarray, count: int, rng) -> np.ndarray:
+    """Uniform samples on a convex polygon (deterministic given the rng state).
+
+    ``verts`` are its vertices in any dimension and ``local`` the same
+    vertices in 2-D coordinates of its plane.  The vertices are put in cyclic
+    order and fanned into triangles from the first; the areas come from the
+    local coordinates, so this holds in any d.
+    """
+    center = local.mean(axis=0)
+    order = np.argsort(np.arctan2(local[:, 1] - center[1], local[:, 0] - center[0]))
+    verts, local = verts[order], local[order]
+    k = verts.shape[0]
+    tris = [(verts[0], verts[e], verts[e + 1]) for e in range(1, k - 1)]
+    e1, e2 = local[1:-1] - local[0], local[2:] - local[0]
+    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    choice = rng.choice(len(tris), size=count, p=areas / areas.sum())
+    r1 = np.sqrt(rng.random(count))
+    r2 = rng.random(count)
+    out = np.empty((count, verts.shape[1]))
+    for m, (t0, t1, t2) in enumerate(tris):
+        sel = choice == m
+        if not np.any(sel):
+            continue
+        u, v = r1[sel], r2[sel]
+        out[sel] = (1 - u)[:, None] * t0 + (u * (1 - v))[:, None] * t1 + (u * v)[:, None] * t2
+    return out
+
+
 def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.ndarray:
     """Uniform samples on one face polytope (deterministic given the rng state)."""
     face = hull.faces[face_id]
@@ -550,29 +581,9 @@ def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.
         u = rng.random(count)
         return a[None, :] + u[:, None] * (b - a)[None, :]
     if face.dim == 2:
-        # the vertices in cyclic order, fanned into triangles from the first;
-        # the areas come from the face-local coordinates, valid in any d
         verts = hull.face_extreme_points(face_id)
         origin, basis = hull._face_basis(face_id)
-        local = (verts - origin) @ basis.T
-        center = local.mean(axis=0)
-        order = np.argsort(np.arctan2(local[:, 1] - center[1], local[:, 0] - center[0]))
-        verts, local = verts[order], local[order]
-        k = verts.shape[0]
-        tris = [(verts[0], verts[e], verts[e + 1]) for e in range(1, k - 1)]
-        e1, e2 = local[1:-1] - local[0], local[2:] - local[0]
-        areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        choice = rng.choice(len(tris), size=count, p=areas / areas.sum())
-        r1 = np.sqrt(rng.random(count))
-        r2 = rng.random(count)
-        out = np.empty((count, hull.dim))
-        for m, (t0, t1, t2) in enumerate(tris):
-            sel = choice == m
-            if not np.any(sel):
-                continue
-            u, v = r1[sel], r2[sel]
-            out[sel] = (1 - u)[:, None] * t0 + (u * (1 - v))[:, None] * t1 + (u * v)[:, None] * t2
-        return out
+        return _fan_samples(verts, (verts - origin) @ basis.T, count, rng)
     # higher dimension: Dirichlet for simplicial faces, bounding-box rejection otherwise
     verts = hull.face_extreme_points(face_id)
     if verts.shape[0] == face.dim + 1:

@@ -29,6 +29,7 @@ from .geom_core import PointConfiguration, build_configuration, is_nondegenerate
 from .hull_oracle import (
     MAX_TRIES_PER_SAMPLE,
     HullDescription,
+    _fan_samples,
     _faces_below,
     build_hull,
     classify_directions_bulk,
@@ -455,25 +456,7 @@ class _SpanHull:
             local = t[:, None]
         elif self.k == 2:
             verts = self.local_hull.config.points[list(self.local_hull.vertices)]
-            center = verts.mean(axis=0)
-            ang = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
-            verts = verts[np.argsort(ang)]
-            m = verts.shape[0]
-            tris = [(verts[0], verts[e], verts[e + 1]) for e in range(1, m - 1)]
-            areas = np.asarray([
-                abs((t1[0] - t0[0]) * (t2[1] - t0[1])
-                    - (t1[1] - t0[1]) * (t2[0] - t0[0])) / 2.0
-                for t0, t1, t2 in tris
-            ])
-            choice = rng.choice(len(tris), size=count, p=areas / areas.sum())
-            r1 = np.sqrt(rng.random(count))
-            r2 = rng.random(count)
-            local = np.empty((count, 2))
-            for idx, (t0, t1, t2) in enumerate(tris):
-                sel = choice == idx
-                u, v = r1[sel], r2[sel]
-                local[sel] = ((1 - u)[:, None] * t0 + (u * (1 - v))[:, None] * t1
-                              + (u * v)[:, None] * t2)
+            local = _fan_samples(verts, verts, count, rng)
         else:
             lo = self.local.min(axis=0)
             hi = self.local.max(axis=0)

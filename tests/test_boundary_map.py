@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from hullmaps import (
+    DimensionMismatchError,
     IndexOutOfRangeError,
     NumericalOverflowError,
     boundary_distance,
     build_configuration,
     build_hull,
     c_factor,
+    classify_direction,
     classify_directions_bulk,
     evaluate,
     evaluate_batch,
     evaluate_batch_array,
+    in_normal_spherical_polytope,
     limit_factor,
+    support_margin,
     weights,
     weights_batch_array,
 )
@@ -121,6 +125,48 @@ def test_non_finite_directions_rejected(triangle, bad):
     for batched in (evaluate_batch_array, weights_batch_array):
         with pytest.raises(ValueError):
             batched(triangle, 0.1, batch)
+
+
+_DIRECTION_TAKERS = {
+    "evaluate": lambda cfg, hull, u: evaluate(cfg, 0.1, u),
+    "weights": lambda cfg, hull, u: weights(cfg, 0.1, u),
+    "c_factor": lambda cfg, hull, u: c_factor(cfg, 0, 1, 0.1, u),
+    "limit_factor": lambda cfg, hull, u: limit_factor(cfg, 0, u),
+    "in_normal_spherical_polytope": lambda cfg, hull, u: in_normal_spherical_polytope(cfg, 0, u),
+    "classify_direction": lambda cfg, hull, u: classify_direction(hull, u),
+    "support_margin": lambda cfg, hull, u: support_margin(hull, u),
+    "classify_directions_bulk": lambda cfg, hull, u: classify_directions_bulk(hull, u),
+    "evaluate_batch": lambda cfg, hull, u: evaluate_batch(cfg, 0.1, u),
+    "evaluate_batch_array": lambda cfg, hull, u: evaluate_batch_array(cfg, 0.1, u),
+    "weights_batch_array": lambda cfg, hull, u: weights_batch_array(cfg, 0.1, u),
+}
+_BATCHED = {"classify_directions_bulk", "evaluate_batch", "evaluate_batch_array",
+            "weights_batch_array"}
+
+
+@pytest.mark.parametrize("name", list(_DIRECTION_TAKERS))
+def test_directions_are_checked(name):
+    """A direction of the wrong length is a DimensionMismatchError; a
+    non-unit or non-finite one is a ValueError, in a batch too."""
+    cfg = build_configuration(np.random.default_rng(0).standard_normal((8, 3)))
+    hull = build_hull(cfg)
+    take = _DIRECTION_TAKERS[name]
+    for short in ([1.0, 0.0], [0.6, 0.0, 0.0, 0.8]):
+        with pytest.raises(DimensionMismatchError):
+            take(cfg, hull, short)
+    for bad in ([2.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            take(cfg, hull, bad)
+    if name in _BATCHED:
+        with pytest.raises(DimensionMismatchError):
+            take(cfg, hull, np.eye(2))
+        for bad in ([2.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                take(cfg, hull, np.vstack([np.eye(3), bad]))
+    else:
+        take(cfg, hull, [0.0, 0.6, 0.8])
+        with pytest.raises(DimensionMismatchError):
+            take(cfg, hull, [[0.0, 0.6, 0.8]])
 
 
 def test_batch_equals_sequential_exactly():

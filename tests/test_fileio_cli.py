@@ -398,3 +398,20 @@ def test_cap_center_of_wrong_dimension_exit_2(tmp_path, cube_csv, capsys):
                      "--cap-radius", "0.3"]) == 2
         assert "the points have d = 3" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cube.csv"]
+
+
+def test_cap_with_strategy_exit_2(tmp_path, cube_csv, capsys):
+    """The cap sampler has its own scheme per dimension, so a strategy is refused."""
+    out = tmp_path / "cap.csv"
+    assert main(["approx", cube_csv, "--out", str(out), "--cap-center", "0,0,1",
+                 "--cap-radius", "0.3", "--strategy", "gaussian_random"]) == 2
+    assert "--strategy does not apply" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cube.csv"]
+
+
+def test_classify_direction_of_wrong_dimension_exit_2(tmp_path, cube_csv, capsys):
+    out = tmp_path / "face.txt"
+    for direction in ("1,0", "0,0,0,1"):
+        assert main(["classify", cube_csv, "--out", str(out), "--direction", direction]) == 2
+        assert "a direction in R^3 must have shape (3,)" in capsys.readouterr().err
+    assert not out.exists()

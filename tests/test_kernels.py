@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -146,18 +145,9 @@ def test_worker_count_does_not_change_output(medium_config, dirs_batch, workers,
         sys.setswitchinterval(interval)
 
 
-def test_concurrent_callers_share_one_pool(medium_config, dirs_batch, monkeypatch):
-    """Callers racing to start the pool start one pool and get bitwise results."""
-    started = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(boundary_map, "ThreadPoolExecutor", CountingPool)
+def test_concurrent_callers_get_bitwise_results(medium_config, dirs_batch, monkeypatch):
+    """Callers racing through multi-run batches each get bitwise serial results."""
     monkeypatch.setattr(boundary_map, "_WORKERS", 3)
-    monkeypatch.setattr(boundary_map, "_pool", None)
     cfg = medium_config
     want = serial_eval_batch(cfg.points, cfg.pairwise_dirs, 1e-3, dirs_batch)
     got = [None] * 4
@@ -175,13 +165,20 @@ def test_concurrent_callers_share_one_pool(medium_config, dirs_batch, monkeypatc
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        for pool in started:
-            pool.shutdown()
     assert not any(t.is_alive() for t in callers)
-    assert len(started) == 1
     for result in got:
         for a, b in zip(result, want):
             assert a.tobytes() == b.tobytes()
+
+
+def test_multi_run_batch_joins_its_workers(medium_config, dirs_batch, monkeypatch):
+    """No kernel thread outlives the call that started it."""
+    monkeypatch.setattr(boundary_map, "_WORKERS", 2)
+    before = threading.active_count()
+    images = evaluate_batch_array(medium_config, 1e-3, dirs_batch)
+    assert images.shape == (500, 3)
+    assert threading.active_count() == before
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("hullmaps-kernel")]
 
 
 @pytest.mark.parametrize("budget", [24 * 5, 7])
@@ -449,7 +446,7 @@ def test_kernel_allocates_no_pair_table_sized_buffer(monkeypatch):
     cfg = build_configuration(rng.standard_normal((n, d)))
     dirs = rng.standard_normal((100, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    evaluate_batch_array(cfg, 1e-2, dirs[:2])  # start the pool outside the trace
+    evaluate_batch_array(cfg, 1e-2, dirs[:2])  # warm up outside the trace
     tracemalloc.start()
     try:
         images = evaluate_batch_array(cfg, 1e-2, dirs)
@@ -467,7 +464,7 @@ def test_image_only_kernel_allocates_no_weight_table(monkeypatch):
     rng = np.random.default_rng(12)
     cfg = build_configuration(rng.standard_normal((20, 3)))
     dirs = _unit_rows(rng, 100_000, 3)
-    evaluate_batch_array(cfg, 1e-3, dirs[:400])  # start the pool outside the trace
+    evaluate_batch_array(cfg, 1e-3, dirs[:400])  # warm up outside the trace
     tracemalloc.start()
     try:
         images = evaluate_batch_array(cfg, 1e-3, dirs)
@@ -487,11 +484,10 @@ def _kernel_in_child(results, points, planes, dirs):
 
 
 def test_forked_child_starts_its_own_pool(medium_config, dirs_batch, monkeypatch):
-    """A fork after the pool started must not wait on the parent's threads."""
+    """A fork after a multi-run batch must not wait on the parent's threads."""
     monkeypatch.setattr(boundary_map, "_WORKERS", 2)
     cfg = medium_config
     want = _eval_batch(cfg.points, cfg.pair_planes, 1e-3, dirs_batch)
-    assert boundary_map._pool is not None
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     child = ctx.Process(target=_kernel_in_child,
@@ -512,16 +508,15 @@ def test_forked_child_starts_its_own_pool(medium_config, dirs_batch, monkeypatch
 def test_import_and_single_direction_start_no_threads():
     probe = (
         "import threading, numpy as np, hullmaps\n"
-        "from hullmaps import boundary_map\n"
         "before = threading.active_count()\n"
         "cfg = hullmaps.build_configuration(np.random.default_rng(0).standard_normal((1000, 3)))\n"
         "hullmaps.evaluate(cfg, 1e-3, [0.0, 0.6, 0.8])\n"
         "hullmaps.weights(cfg, 1e-3, [0.0, 0.8, 0.6])\n"
-        "print(before, threading.active_count(), boundary_map._pool is None)\n"
+        "print(before, threading.active_count())\n"
     )
     src = str(Path(boundary_map.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
-    assert out.stdout.split() == ["1", "1", "True"]
+    assert out.stdout.split() == ["1", "1"]

@@ -222,6 +222,23 @@ def test_span_body_rejection_sampler_is_bounded(monkeypatch):
         span.sample_body(5, seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_span_polygon_body_matches_loop(seed):
+    """The k = 2 body goes through the 2-face sampler's fan, bitwise as before."""
+    from hullmaps.set_metrics import _SpanHull
+    from tests.span_body_loop import sample_polygon_body
+
+    rng = np.random.default_rng(seed)
+    spans = [np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.3, 0.6, 0]], float),
+             rng.standard_normal((12, 2)) @ rng.standard_normal((2, 4))]
+    for points in spans:
+        span = _SpanHull(build_configuration(points))
+        assert span.k == 2
+        for count in (1, 7, 500):
+            want = span.mean + sample_polygon_body(span.local_hull, count, seed) @ span.span
+            assert span.sample_body(count, seed).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("points,dim", [
     ([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], 3),
     ([[x, y, z, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)], 4),
