@@ -287,7 +287,9 @@ def _eval_batch(points, planes, eps, dirs, images_only=False):
     per_run = -(-nb // runs)
     # made on the calling thread: buffers made by the workers raised the sweep's peak RSS
     size = max(min(rows, per_run) * height * n, n, 2 * d)
-    bufs = np.empty((runs, 2, size))
+    # with whole-row tiles only _weigh reads the second buffer, 2 d floats per block row
+    size_b = size if height < n else 2 * d * (size // max(n, 2 * d))
+    bufs = list(zip(np.empty((runs, size)), np.empty((runs, size_b))))
     images = np.empty((nb, d))
     out = (None, None, images) if images_only else (np.empty((nb, n)), np.empty((nb, n)), images)
     scratch = (np.empty((runs, 2, min(size // max(n, 2 * d), per_run) * n)) if images_only

@@ -100,10 +100,11 @@ def cmd_dual(args: argparse.Namespace) -> int:
     hull = build_hull(config, args.tol_coplanar)
     complex_ = normal_fan_dual.spherical_dual(hull)
     transform = normal_fan_dual.outer_normal_transform(hull)
-    verdict = normal_fan_dual.dual_combinatorics_check(hull)
-
     # one OBJ face per hull vertex: the rows of hull.normals of its facets, in cyclic order
     index_cells = [positions for _, positions in normal_fan_dual._vertex_cells(hull)]
+    verdict = normal_fan_dual._dual_check(
+        hull, index_cells, {frozenset(f.vertex_indices) for f in transform.facets})
+
     fileio.write_obj_mesh(_with_suffix(args.out, "_spherical.obj"), hull.normals, index_cells)
     fileio.write_obj_mesh(_with_suffix(args.out, "_flattened.obj"), hull.normals, index_cells)
 

@@ -93,38 +93,51 @@ class PointConfiguration:
                     f"distinctness tolerance {distinctness_tol!r} must be finite and >= 0"
                 )
 
-        # diffs[c, i, j] = x_j[c] - x_i[c].  The squared distances add plane by
-        # plane in coordinate order, which rounds as the norm over the last axis
-        # of an (n, n, d) table does; the squares go through a block of rows so
-        # that no second (n, n) table is made
+        # The table is built a block of rows at a time, so no (n, n) array is
+        # made beside it.  diffs[c, i, j] = x_j[c] - x_i[c]; the squared
+        # distances add plane by plane in coordinate order, which rounds as the
+        # norm over the last axis of an (n, n, d) table does.  a - b == -(b - a)
+        # and the two norms are equal, so the reverse entries are the exact
+        # negation.  A block's diagonal distances become +inf for the search of
+        # the closest pair, so the diagonal's 0.0 divides to +0.0
         cols = np.ascontiguousarray(pts.T)
         diffs = np.empty((d, n, n))
-        dists = np.empty((n, n))
-        step = max(1, 16_384 // n)  # rows per block: 128 KiB of squares
-        square = np.empty((min(step, n), n))
+        step = max(1, 16_384 // n)  # rows per block: 128 KiB of distances
+        dists = np.empty((min(step, n), n))
+        square = np.empty_like(dists)
+        diameter = 0.0
+        closest, imin = np.inf, (0, 0)  # the first closest off-diagonal pair, row-major
         for i0 in range(0, n, step):
             i1 = min(i0 + step, n)
+            rows = dists[:i1 - i0]
             for c in range(d):
                 plane = np.subtract(cols[c], cols[c, i0:i1, None], out=diffs[c, i0:i1])
                 if c == 0:
-                    np.multiply(plane, plane, out=dists[i0:i1])
+                    np.multiply(plane, plane, out=rows)
                 else:
-                    dists[i0:i1] += np.multiply(plane, plane, out=square[:i1 - i0])
-        np.sqrt(dists, out=dists)
-        diameter = float(dists.max())
+                    rows += np.multiply(plane, plane, out=square[:i1 - i0])
+            np.sqrt(rows, out=rows)
+            diameter = max(diameter, float(rows.max()))
+            np.fill_diagonal(rows[:, i0:], np.inf)
+            k = int(np.argmin(rows))
+            if rows.flat[k] < closest:
+                closest, imin = float(rows.flat[k]), (i0 + k // n, k % n)
+            # a zero distance always raises below; skipping its division
+            # avoids 0 / 0
+            if closest > 0.0:
+                diffs[:, i0:i1] /= rows
+
         if distinctness_tol is None:
             distinctness_tol = DEFAULT_DISTINCTNESS_REL * diameter
-        np.fill_diagonal(dists, diameter + 1.0)
-        imin = np.unravel_index(np.argmin(dists), dists.shape)
-        if dists[imin] <= distinctness_tol:
+        # as an argmin over the whole table with diameter + 1 on its diagonal
+        # (tests/pair_table.py): when no distance lies below that sum, as when
+        # it rounds to the diameter at 2^53 or more, the first minimum is (0, 0)
+        if not closest < diameter + 1.0:
+            closest, imin = diameter + 1.0, (0, 0)
+        if closest <= distinctness_tol:
             raise DuplicatePointsError(
                 f"points {imin[0]} and {imin[1]} coincide within {distinctness_tol!r}"
             )
-
-        # every distance is now positive, and the diagonal's 0.0 stays 0.0;
-        # a - b == -(b - a) and the two norms are equal, so dividing the whole
-        # table reproduces the exact negation in the reverse entries
-        diffs /= dists
 
         pts.setflags(write=False)
         diffs.setflags(write=False)

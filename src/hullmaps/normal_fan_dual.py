@@ -21,7 +21,7 @@ import numpy as np
 
 from .boundary_map import MAX_POINTS
 from .errors import DimensionUnsupportedError, NotOnBoundaryError, TooManyPointsError
-from .geom_core import build_configuration, unit_vector
+from .geom_core import build_configuration
 from .hull_oracle import (
     _SLACK_BLOCK,
     Face,
@@ -271,11 +271,16 @@ def dual_combinatorics_check(hull: HullDescription,
     """
     if hull.dim != 3:
         raise DimensionUnsupportedError("duality check is defined for d = 3")
-
     cells = [positions for _, positions in _vertex_cells(hull)]
+    return _dual_check(hull, cells, set(_hull_facets(_normals_config(hull))[0]), planarity_tol)
+
+
+def _dual_check(hull: HullDescription, cells: list, normal_facets: set,
+                planarity_tol: float = FLATTEN_PLANARITY_TOL) -> DualCheckResult:
+    """:func:`dual_combinatorics_check` from the hull's vertex cells (their
+    facet positions) and the point sets of the normals' hull facets."""
     flattened_convex = _flattened_convex(hull, cells, planarity_tol)
     # transform point k is the normal of hull facet k, and every distinct unit
     # vector is extreme, so both sides below are sets of facet labels
     stars = {frozenset(positions.tolist()) for positions in cells}
-    equivalent = stars == set(_hull_facets(_normals_config(hull))[0])
-    return DualCheckResult(equivalent=equivalent, flattened_convex=flattened_convex)
+    return DualCheckResult(equivalent=stars == normal_facets, flattened_convex=flattened_convex)

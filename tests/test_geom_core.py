@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullmaps import (
     DimensionMismatchError,
@@ -92,9 +94,63 @@ def test_duplicate_indices_match_point_major_oracle(n, d):
         assert f"points {k} and {m} " in str(got.value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pts,tol", [
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], None),
+    ([[0.0], [1e17]], 1e18),  # diameter + 1 rounds to the diameter: the diagonal wins
+])
+def test_small_duplicates_raise_as_oracle_without_warnings(pts, tol):
+    with pytest.raises(DuplicatePointsError) as want:
+        pair_table(pts, tol)
+    with pytest.raises(DuplicatePointsError) as got:
+        build_configuration(pts, tol)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_duplicates_at_n_1000_raise_as_oracle_without_warnings():
+    """Exact repeats past the first row blocks: their 0 / 0 is never divided."""
+    pts = np.random.default_rng(4).standard_normal((1000, 3))
+    pts[700], pts[998] = pts[300], pts[650]
+    with pytest.raises(DuplicatePointsError) as want:
+        pair_table(pts)
+    with pytest.raises(DuplicatePointsError) as got:
+        build_configuration(pts)
+    assert str(got.value) == str(want.value)
+    assert "points 300 and 700 " in str(got.value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(129, 400), d=st.integers(1, 4))
+def test_permuted_points_permute_pair_planes_bitwise(seed, n, d):
+    """n > 128 takes more than one row block of 16,384 // n rows, and most
+    such n end a block inside the table."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d))
+    perm = rng.permutation(n)
+    a, b = build_configuration(pts), build_configuration(pts[perm])
+    assert b.diameter == a.diameter
+    assert b.pair_planes.tobytes() == a.pair_planes[:, perm][:, :, perm].tobytes()
+
+
+def test_build_peaks_below_table_plus_one_mib_at_n_1000():
+    """The row blocks are all the build holds beside the (d, n, n) table;
+    a whole (n, n) distance table would add 7.6 MiB."""
+    n, d = 1000, 3
+    pts = np.random.default_rng(0).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        cfg = build_configuration(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.pair_planes.shape == (d, n, n)
+    assert peak <= d * n * n * 8 + 2**20
+
+
 def test_build_keeps_one_distance_table_at_n_1000():
-    """The build holds the (d, n, n) table, one (n, n) distance table and
-    small row blocks; the point-major build peaked near 8 n^2 floats."""
+    """The build holds the (d, n, n) table and small row blocks, and no
+    (n, n) distance table; the point-major build peaked near 8 n^2 floats."""
     n, d = 1000, 3
     pts = np.random.default_rng(0).standard_normal((n, d))
     tracemalloc.start()

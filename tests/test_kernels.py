@@ -472,7 +472,7 @@ def test_image_only_kernel_allocates_no_weight_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.isfinite(images).all()
-    assert peak < 7 * 2**20  # 6.4 MiB on two CPUs, 2.3 MiB of it the images
+    assert peak < 7 * 2**20  # 5.7 MiB on two CPUs, 2.3 MiB of it the images
     lam, log_c, full_images = weights_batch_array(cfg, 1e-3, dirs)
     assert lam.shape == log_c.shape == (100_000, 20)
     assert np.isfinite(lam).all() and np.isfinite(log_c).all()
