@@ -29,7 +29,6 @@ from .errors import (
     HullMapsError,
     IndexOutOfRangeError,
     NotOnBoundaryError,
-    NumericalOverflowError,
     RequiresDegenerateError,
     SamplingExhaustedError,
     StrategyDimensionMismatchError,
@@ -62,14 +61,10 @@ from .hull_oracle import (
 )
 from .normal_fan_dual import (
     DualCheckResult,
-    GaussValue,
-    NormalCone,
     SphericalDualComplex,
     dual_combinatorics_check,
     flattened_spherical_dual,
     gauss_map,
-    inverse_gauss,
-    normal_fan,
     outer_normal_transform,
     spherical_dual,
     w_set_contains,

@@ -54,11 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NumericalOverflowError
+from .errors import IndexOutOfRangeError
 from .geom_core import PointConfiguration, unit_direction, unit_directions
 
-MAX_POINTS = 1000
-MAX_DIM = 6
 _CHUNK_BUDGET = 65_536  # floats per tile buffer; a run's two buffers fit in a 2 MiB L2
 # exp underflows to exactly 0.0 below -1075 log(2) = -745.1332; the remaining
 # 0.87 covers the rounding of a row bound and of the log sums, under 1e-6 at n <= 1000
@@ -105,11 +103,6 @@ class MapImage:
 def _validate(config: PointConfiguration, epsilon: float) -> None:
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if config.n_points > MAX_POINTS or config.dim > MAX_DIM:
-        raise NumericalOverflowError(
-            f"supported limits are n <= {MAX_POINTS}, d <= {MAX_DIM}; "
-            f"got n = {config.n_points}, d = {config.dim}"
-        )
 
 
 def _check_index(config: PointConfiguration, i: int) -> None:

@@ -1,8 +1,9 @@
 """Command-line surface tying the library together.
 
 Subcommands: approx, hull, dual, converge, classify.  Exit codes:
-0 success, 2 validation error, 3 degenerate configuration, 4 I/O error,
-5 numeric error (overflow, ambiguous classification).
+0 success, 2 validation error (including input beyond the size contract
+n <= 1000, d <= 6), 3 degenerate configuration, 4 I/O error, 5 ambiguous
+classification.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     DimensionMismatchError,
     DimensionUnsupportedError,
     HullMapsError,
-    NumericalOverflowError,
     RequiresDegenerateError,
 )
 from .geom_core import build_configuration, read_points_csv
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hullmaps",
         description="Sphere-to-hull boundary maps, duals, and convergence sweeps.",
-        epilog="exit codes: 0 ok, 2 validation, 3 degenerate input, 4 I/O, 5 numeric",
+        epilog="exit codes: 0 ok, 2 validation, 3 degenerate input, 4 I/O, 5 ambiguous tie",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     except (DegenerateConfigurationError, RequiresDegenerateError) as exc:
         print(f"degenerate-configuration error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (NumericalOverflowError, AmbiguousTieError) as exc:
+    except AmbiguousTieError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, HullMapsError) as exc:

@@ -17,10 +17,6 @@ class IndexOutOfRangeError(HullMapsError, IndexError):
     """A point index is outside the configuration."""
 
 
-class NumericalOverflowError(HullMapsError):
-    """Requested size exceeds the documented numeric limits (n or d too large)."""
-
-
 class StrategyDimensionMismatchError(HullMapsError):
     """The sampling strategy does not apply to the requested dimension."""
 
@@ -30,7 +26,7 @@ class DegenerateConfigurationError(HullMapsError):
 
 
 class TooManyPointsError(HullMapsError):
-    """Configuration exceeds the hull size limits (n or d too large)."""
+    """A configuration exceeds the size contract n <= 1000, d <= 6."""
 
 
 class AmbiguousTieError(HullMapsError):

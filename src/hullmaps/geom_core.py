@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionMismatchError, DuplicatePointsError
+from .errors import DimensionMismatchError, DuplicatePointsError, TooManyPointsError
 
+MAX_POINTS = 1000
+MAX_DIM = 6
+MAX_TRIES_PER_SAMPLE = 10_000  # rejection-sampling budget per requested sample
 UNIT_NORM_TOL = 1e-12
 DEFAULT_DISTINCTNESS_REL = 1e-9
 DEFAULT_RANK_TOL = 1e-9
@@ -71,6 +76,10 @@ class PointConfiguration:
     both entries), and the diagonal is zero.  Both arrays are read-only;
     instances are immutable after construction and safe to share across
     workers.
+
+    The size contract is checked before any table is formed: beyond
+    ``n <= MAX_POINTS``, ``d <= MAX_DIM`` the build raises TooManyPointsError,
+    and a coordinate with ``|x| > sqrt(max float / d) / 4`` raises ValueError.
     """
 
     def __init__(self, raw_points, distinctness_tol: float | None = None):
@@ -82,9 +91,20 @@ class PointConfiguration:
             raise DimensionMismatchError("ambient dimension must be >= 1")
         if n < 2:
             raise ValueError("a configuration needs at least two points")
+        if n > MAX_POINTS or d > MAX_DIM:
+            raise TooManyPointsError(
+                f"configurations support n <= {MAX_POINTS}, d <= {MAX_DIM}; "
+                f"got n = {n}, d = {d}"
+            )
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
             raise ValueError(f"point {int(np.argmin(finite))} has a non-finite coordinate")
+        # a coordinate difference is then at most sqrt(max float / d) / 2, so a
+        # squared distance is at most max float / 4 and its rounded sum is finite
+        bound = math.sqrt(np.finfo(float).max / d) / 4.0
+        if not float(np.abs(pts).max()) <= bound:
+            raise ValueError(f"coordinates must satisfy |x| <= sqrt(max float / d) / 4 = "
+                             f"{bound:.6g} in d = {d}, so that every squared distance is finite")
 
         if distinctness_tol is not None:
             distinctness_tol = float(distinctness_tol)
@@ -180,7 +200,9 @@ def build_configuration(raw_points, distinctness_tol: float | None = None) -> Po
     and non-finite coordinates.
 
     Points closer than ``distinctness_tol`` (default 1e-9 x diameter) are
-    duplicates; a given tolerance must be finite and >= 0.
+    duplicates; a given tolerance must be finite and >= 0.  Raises
+    TooManyPointsError beyond n <= MAX_POINTS, d <= MAX_DIM, and ValueError
+    for a coordinate with ``|x| > sqrt(max float / d) / 4``.
     """
     rows = [np.atleast_1d(np.asarray(p, dtype=float)) for p in raw_points]
     if not rows:

@@ -32,14 +32,11 @@ from .errors import (
     DegenerateConfigurationError,
     IndexOutOfRangeError,
     SamplingExhaustedError,
-    TooManyPointsError,
 )
-from .boundary_map import MAX_DIM, MAX_POINTS
-from .geom_core import (DEFAULT_RANK_TOL, PointConfiguration, is_nondegenerate, unit_direction,
-                        unit_directions)
+from .geom_core import (DEFAULT_RANK_TOL, MAX_TRIES_PER_SAMPLE, PointConfiguration,
+                        is_nondegenerate, unit_direction, unit_directions)
 
 DEFAULT_TOL_REL = 1e-9
-MAX_TRIES_PER_SAMPLE = 10_000  # rejection-sampling budget per requested sample
 _SLACK_BLOCK = 65_536  # floats in one block's slack table (candidates x points)
 
 
@@ -238,8 +235,6 @@ def _hull_facets(config: PointConfiguration, coplanarity_tol: float | None = Non
         raise DegenerateConfigurationError(
             "points lie on a proper affine subspace; no full-dimensional hull"
         )
-    if config.n_points > MAX_POINTS or config.dim > MAX_DIM:
-        raise TooManyPointsError(f"hull construction supports n <= {MAX_POINTS}, d <= {MAX_DIM}")
 
     pts = config.points
     if coplanarity_tol is None:
@@ -278,9 +273,8 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
     stack, and each slack row is the same BLAS product as for one candidate,
     so the hull is bitwise the one a fit per candidate gives.
 
-    Raises DegenerateConfigurationError if the points do not span R^d,
-    TooManyPointsError beyond n <= MAX_POINTS, d <= MAX_DIM, and ValueError
-    for a given tolerance that is not finite or is below
+    Raises DegenerateConfigurationError if the points do not span R^d, and
+    ValueError for a given tolerance that is not finite or is below
     ``16 * eps * max|coordinate|``.
     """
     facet_data, tol = _hull_facets(config, coplanarity_tol)

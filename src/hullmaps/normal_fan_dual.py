@@ -1,11 +1,13 @@
-"""Normal fans, spherical duals, the polytope Gauss map, and duality checks.
+"""Spherical duals, the polytope Gauss map, and duality checks.
 
 The normal cone of a face is generated by the outward normals of its incident
-facets; intersecting with the unit sphere gives the normal spherical polytope.
-The collection of those cells tiles the sphere and is combinatorially the dual
-polytope.  Flattening each cell to the convex hull of its vertex directions
-yields a piecewise-linear surface whose convexity decides whether the hull of
-the facet normals is combinatorially equivalent to the dual.
+facets; intersecting with the unit sphere gives the normal spherical polytope,
+the face's dual cell.  Those cells tile the sphere and are combinatorially the
+dual polytope.  The Gauss map sends a boundary point to the cell of its
+minimal face, and ``hull_oracle.classify_direction`` is its inverse.
+Flattening each cell to the convex hull of its vertex directions yields a
+piecewise-linear surface whose convexity decides whether the hull of the
+facet normals is combinatorially equivalent to the dual.
 
 Every question here is answered from the hull's face lattice with the facets
 as labels: facet k is row k of ``hull.normals``, a cell is the set of labels
@@ -19,55 +21,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_map import MAX_POINTS
 from .errors import DimensionUnsupportedError, NotOnBoundaryError, TooManyPointsError
-from .geom_core import build_configuration
+from .geom_core import MAX_POINTS, build_configuration
 from .hull_oracle import (
     _SLACK_BLOCK,
     Face,
     HullDescription,
     _by_length,
-    _face_within,
     _faces_below,
-    _facet_distances,
     _hull_facets,
     build_hull,
     classify_direction,
+    minimal_face_containing,
 )
 
 FLATTEN_PLANARITY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
-class NormalCone:
-    """Normal cone of one face: generated by its incident facet normals."""
-
-    face_id: int
-    dim: int
-    generators: np.ndarray  # (k, d) outward normals of incident facets
-
-
-@dataclass(frozen=True)
-class GaussValue:
-    """Set value of the polytope Gauss map at a boundary point.
-
-    ``cell_dirs`` are the vertex directions of the normal spherical polytope
-    of the minimal face containing the point; a facet-interior point yields
-    the singleton facet normal.
-    """
-
-    face_id: int
-    face_dim: int
-    cell_dirs: np.ndarray
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.cell_dirs.shape[0] == 1
-
-
-@dataclass(frozen=True)
 class DualCell:
-    """One spherical cell: the dual of a face of the hull boundary."""
+    """One spherical cell: the dual of a face of the hull boundary.
+
+    ``vertex_dirs`` are the outward normals of the facets through the face,
+    the generators of its normal cone; a facet's cell is its one normal.
+    """
 
     face_id: int
     face_dim: int
@@ -90,28 +67,15 @@ class DualCheckResult:
     flattened_convex: bool
 
 
-def normal_fan(hull: HullDescription) -> list[NormalCone]:
-    """One cone per face of the boundary; facet cones are single rays."""
-    d = hull.dim
-    return [
-        NormalCone(face_id=f.face_id, dim=d - f.dim,
-                   generators=hull.normals[hull.facet_positions(f.face_id)])
-        for f in hull.faces
-    ]
+def _cell(hull: HullDescription, face: Face) -> DualCell:
+    return DualCell(face_id=face.face_id, face_dim=face.dim, cell_dim=hull.dim - face.dim - 1,
+                    vertex_dirs=hull.normals[hull.facet_positions(face.face_id)])
 
 
 def spherical_dual(hull: HullDescription) -> SphericalDualComplex:
     """The spherical cell complex dual to the hull boundary."""
     d = hull.dim
-    cells = tuple(
-        DualCell(
-            face_id=f.face_id,
-            face_dim=f.dim,
-            cell_dim=d - f.dim - 1,
-            vertex_dirs=hull.normals[hull.facet_positions(f.face_id)],
-        )
-        for f in hull.faces
-    )
+    cells = tuple(_cell(hull, f) for f in hull.faces)
     pairs = [(a, b.face_id) for b in hull.faces for a in _faces_below(hull, b.face_id)]
     counts = [0] * d
     for c in cells:
@@ -120,23 +84,16 @@ def spherical_dual(hull: HullDescription) -> SphericalDualComplex:
                                 cell_counts=tuple(counts))
 
 
-def gauss_map(hull: HullDescription, x, tol: float | None = None) -> GaussValue:
-    """Normal spherical polytope of the minimal face containing a boundary point."""
-    x = np.asarray(x, dtype=float)
-    if tol is None:
-        tol = 1e-7 * (1.0 + hull.diameter)
-    dists = _facet_distances(hull, x)
-    dist = float(dists.min())
-    if dist > tol:
-        raise NotOnBoundaryError(f"point is {dist:g} away from the boundary")
-    face = _face_within(hull, dists, tol)
-    return GaussValue(face_id=face.face_id, face_dim=face.dim,
-                      cell_dirs=hull.normals[hull.facet_positions(face.face_id)])
+def gauss_map(hull: HullDescription, x, tol: float | None = None) -> DualCell:
+    """The dual cell of the minimal face containing a boundary point (the face
+    ``minimal_face_containing`` finds within ``tol``).
 
-
-def inverse_gauss(hull: HullDescription, n, tie_tol: float | None = None) -> Face:
-    """Set-valued inverse of the Gauss map: delegates to classify_direction."""
-    return classify_direction(hull, n, tie_tol)
+    Raises NotOnBoundaryError when no facet lies within ``tol`` of x.
+    """
+    face = minimal_face_containing(hull, x, tol)
+    if face is None:
+        raise NotOnBoundaryError("point is not on the hull boundary within tolerance")
+    return _cell(hull, face)
 
 
 def w_set_contains(hull: HullDescription, face_id: int, n, tie_tol: float | None = None) -> bool:

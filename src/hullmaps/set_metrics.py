@@ -20,14 +20,15 @@ from scipy.spatial import cKDTree
 
 from .boundary_map import evaluate_batch_array
 from .errors import (
+    DimensionUnsupportedError,
     EmptyProbeError,
     EmptySetError,
     RequiresDegenerateError,
     SamplingExhaustedError,
 )
-from .geom_core import PointConfiguration, build_configuration, is_nondegenerate
+from .geom_core import (DEFAULT_RANK_TOL, MAX_TRIES_PER_SAMPLE, PointConfiguration,
+                        build_configuration, is_nondegenerate)
 from .hull_oracle import (
-    MAX_TRIES_PER_SAMPLE,
     HullDescription,
     _fan_samples,
     _faces_below,
@@ -416,7 +417,7 @@ class _SpanHull:
         mean = pts.mean(axis=0)
         centered = pts - mean
         _, sv, vh = np.linalg.svd(centered, full_matrices=True)
-        rank = int(np.sum(sv > 1e-9 * sv[0]))
+        rank = int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
         self.mean = mean
         self.span = vh[:rank]          # (k, d)
         self.normal_basis = vh[rank:]  # (d-k, d)
@@ -644,8 +645,6 @@ def nonconvexity_probe(config: PointConfiguration, eps: float, plan: SamplePlan)
     Requires d = 2 and an ordered angular sampling plan so the image points
     trace the curve in order.
     """
-    from .errors import DimensionUnsupportedError
-
     if config.dim != 2:
         raise DimensionUnsupportedError("the turning probe is planar only")
     if plan.strategy != "uniform_grid_2d":

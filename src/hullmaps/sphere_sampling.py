@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingExhaustedError, StrategyDimensionMismatchError
-from .geom_core import unit_vector
-from .hull_oracle import MAX_TRIES_PER_SAMPLE
+from .geom_core import MAX_TRIES_PER_SAMPLE, unit_vector
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from hullmaps.boundary_map import MAX_DIM, MAX_POINTS
+from hullmaps.geom_core import MAX_DIM, MAX_POINTS
 from hullmaps.errors import DegenerateConfigurationError, TooManyPointsError
 from hullmaps.geom_core import PointConfiguration, is_nondegenerate
 from hullmaps.hull_oracle import DEFAULT_TOL_REL, Face, Facet, HullDescription

@@ -4,7 +4,7 @@ import pytest
 from hullmaps import (
     DimensionMismatchError,
     IndexOutOfRangeError,
-    NumericalOverflowError,
+    TooManyPointsError,
     boundary_distance,
     build_configuration,
     build_hull,
@@ -93,9 +93,8 @@ def test_epsilon_domain(pair_1d):
 
 def test_documented_limits():
     rng = np.random.default_rng(0)
-    cfg = build_configuration(rng.standard_normal((1001, 2)))
-    with pytest.raises(NumericalOverflowError):
-        weights(cfg, 0.1, [1.0, 0.0])
+    with pytest.raises(TooManyPointsError):
+        build_configuration(rng.standard_normal((1001, 2)))
 
 
 def test_batch_empty_and_singleton(triangle):

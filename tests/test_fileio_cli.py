@@ -317,6 +317,21 @@ def test_non_finite_points_exit_2(tmp_path, bad):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["approx", "--out", "o.csv", "--samples", "10"],
+                                  ["hull", "--out", "o.txt"],
+                                  ["dual", "--out", "o.txt"],
+                                  ["converge", "--out", "o.csv", "--samples", "10"],
+                                  ["classify", "--direction", "0,0,1"]])
+def test_points_beyond_the_size_contract_exit_2(tmp_path, capsys, argv):
+    src = tmp_path / "p.csv"
+    write_points_csv(src, np.random.default_rng(0).standard_normal((1001, 3)))
+    sub, *flags = argv
+    flags = [str(tmp_path / f) if f.startswith("o.") else f for f in flags]
+    assert main([sub, str(src), *flags]) == 2
+    assert "n <= 1000, d <= 6; got n = 1001, d = 3" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o*"))
+
+
 # the flags each subcommand registers, all of which it reads
 SUBCOMMAND_FLAGS = {
     "approx": {"--out", "--tol-distinct", "--tol-coplanar", "--seed", "--eps", "--samples",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hullmaps import (
     DimensionMismatchError,
     DuplicatePointsError,
+    TooManyPointsError,
     build_configuration,
     is_nondegenerate,
     read_points_csv,
@@ -161,6 +163,38 @@ def test_build_keeps_one_distance_table_at_n_1000():
         tracemalloc.stop()
     assert cfg.n_points == n
     assert peak < (d + 2) * n * n * 8
+
+
+@pytest.mark.parametrize("n, d", [(2000, 3), (10, 7)])
+def test_size_contract_refused_before_any_table(n, d):
+    """Beyond n <= 1000, d <= 6 the build raises before forming its (d, n, n)
+    table (96 MB at n = 2000, d = 3)."""
+    pts = np.random.default_rng(5).standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyPointsError, match=f"n <= 1000, d <= 6; got n = {n}, d = {d}"):
+            build_configuration(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.filterwarnings("error")
+def test_coordinates_whose_differences_overflow_are_refused():
+    """Finite coordinates whose squared distances would overflow raise a
+    ValueError naming the bound, with no overflow warnings; at the bound the
+    table is finite."""
+    with pytest.raises(ValueError, match=r"\|x\| <= sqrt\(max float / d\) / 4"):
+        build_configuration([(1e308, 0), (-1e308, 0), (0, 1)])
+    for d in range(1, 7):
+        bound = math.sqrt(np.finfo(float).max / d) / 4
+        pts = np.vstack([np.full(d, bound), np.full(d, -bound), np.eye(d) * bound / 3])
+        cfg = build_configuration(pts)
+        assert np.isfinite(cfg.diameter) and np.isfinite(cfg.pair_planes).all()
+        pts[0, 0] = np.nextafter(bound, np.inf)
+        with pytest.raises(ValueError, match=f"in d = {d}"):
+            build_configuration(pts)
 
 
 def test_dimension_mismatch():

@@ -113,7 +113,7 @@ def test_size_limits_follow_map_contract(tmp_path):
     assert_same_hull(build_hull(cfg), brute_force_hull(cfg))
     for n, d in ((1001, 3), (9, 7)):
         with pytest.raises(TooManyPointsError):
-            build_hull(build_configuration(rng.standard_normal((n, d))))
+            build_configuration(rng.standard_normal((n, d)))
     path = tmp_path / "sphere.csv"
     write_points_csv(path, _unit_sphere(rng, 200, 3))
     assert cli.main(["hull", str(path), "--out", str(tmp_path / "hull.txt")]) == 0

@@ -12,9 +12,7 @@ from hullmaps import (
     dual_combinatorics_check,
     flattened_spherical_dual,
     gauss_map,
-    inverse_gauss,
     minimal_face_containing,
-    normal_fan,
     outer_normal_transform,
     sample_boundary,
     sample_face_points,
@@ -29,50 +27,50 @@ from tests.conftest import random_configuration, truncated_tetrahedron_points
 from tests.test_hull_differential import _cube, _duality_polytopes
 
 
-def _cones_by_generator_count(cones):
+def _cells_by_dir_count(cells):
     out = {}
-    for c in cones:
-        k = c.generators.shape[0]
+    for c in cells:
+        k = c.vertex_dirs.shape[0]
         out[k] = out.get(k, 0) + 1
     return out
 
 
 def test_square_fan(square_hull):
-    cones = normal_fan(square_hull)
-    assert _cones_by_generator_count(cones) == {1: 4, 2: 4}
+    cells = spherical_dual(square_hull).cells
+    assert _cells_by_dir_count(cells) == {1: 4, 2: 4}
     # rays are the facet normals themselves
-    rays = [c for c in cones if c.generators.shape[0] == 1]
-    normals = sorted(tuple(np.round(c.generators[0], 9)) for c in rays)
+    rays = [c for c in cells if c.vertex_dirs.shape[0] == 1]
+    normals = sorted(tuple(np.round(c.vertex_dirs[0], 9)) for c in rays)
     assert normals == [(-1.0, -0.0), (-0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
 
 
 def test_cube_fan_counts(cube_hull):
-    cones = normal_fan(cube_hull)
-    assert _cones_by_generator_count(cones) == {1: 6, 2: 12, 3: 8}
-    for c in cones:
+    cells = spherical_dual(cube_hull).cells
+    assert _cells_by_dir_count(cells) == {1: 6, 2: 12, 3: 8}
+    for c in cells:
         face = cube_hull.faces[c.face_id]
-        assert c.dim == 3 - face.dim
+        assert c.cell_dim + 1 == 3 - face.dim
         if face.dim == 0:
-            assert np.linalg.matrix_rank(c.generators) == 3
+            assert np.linalg.matrix_rank(c.vertex_dirs) == 3
 
 
 def test_triangle_vertex_cone(triangle_hull):
-    cones = normal_fan(triangle_hull)
-    origin_cone = [
-        c for c in cones if triangle_hull.faces[c.face_id].vertex_indices == (0,)
+    cells = spherical_dual(triangle_hull).cells
+    origin_cell = [
+        c for c in cells if triangle_hull.faces[c.face_id].vertex_indices == (0,)
     ][0]
-    gens = sorted(tuple(np.round(g, 9)) for g in origin_cone.generators)
+    gens = sorted(tuple(np.round(g, 9)) for g in origin_cell.vertex_dirs)
     assert gens == [(-1.0, -0.0), (-0.0, -1.0)]
 
 
 def test_fan_incidence_property(cube_hull):
-    cones = {c.face_id: c for c in normal_fan(cube_hull)}
+    cells = {c.face_id: c for c in spherical_dual(cube_hull).cells}
     faces = {f.face_id: f for f in cube_hull.faces}
     for a in faces.values():
         for b in faces.values():
             if frozenset(a.vertex_indices) < frozenset(b.vertex_indices):
-                gens_sub = {tuple(np.round(g, 9)) for g in cones[a.face_id].generators}
-                gens_sup = {tuple(np.round(g, 9)) for g in cones[b.face_id].generators}
+                gens_sub = {tuple(np.round(g, 9)) for g in cells[a.face_id].vertex_dirs}
+                gens_sup = {tuple(np.round(g, 9)) for g in cells[b.face_id].vertex_dirs}
                 assert gens_sup < gens_sub
 
 
@@ -85,14 +83,14 @@ def test_facet_normals_pairwise_distinct(truncated_tetrahedron_hull):
 
 def test_gauss_map_square_edge_interior(square_hull):
     g = gauss_map(square_hull, [0.5, 0.0])
-    assert g.is_singleton
-    assert np.allclose(g.cell_dirs[0], [0.0, -1.0], atol=1e-12)
+    assert g.cell_dim == 0
+    assert np.allclose(g.vertex_dirs[0], [0.0, -1.0], atol=1e-12)
 
 
 def test_gauss_map_square_vertex(square_hull):
     g = gauss_map(square_hull, [0.0, 0.0])
     assert g.face_dim == 0
-    dirs = sorted(tuple(np.round(v, 9)) for v in g.cell_dirs)
+    dirs = sorted(tuple(np.round(v, 9)) for v in g.vertex_dirs)
     assert dirs == [(-1.0, -0.0), (-0.0, -1.0)]
 
 
@@ -100,8 +98,8 @@ def test_gauss_map_facet_centroid(tetrahedron_hull):
     facet = tetrahedron_hull.facets[0]
     centroid = tetrahedron_hull.face_points(facet.face_id).mean(axis=0)
     g = gauss_map(tetrahedron_hull, centroid)
-    assert g.is_singleton
-    assert np.allclose(g.cell_dirs[0], facet.outward_normal, atol=1e-12)
+    assert g.cell_dim == 0
+    assert np.allclose(g.vertex_dirs[0], facet.outward_normal, atol=1e-12)
 
 
 def test_gauss_map_rejects_off_boundary(square_hull):
@@ -132,7 +130,7 @@ def test_gauss_map_matches_one_point_queries(monkeypatch, d, n, seed):
                         lambda *args: calls.append(1) or face_distance(*args))
     for x, want in zip(pts, expected):
         g = gauss_map(hull, x)
-        assert (g.face_id, g.face_dim, g.cell_dirs.tobytes()) == want
+        assert (g.face_id, g.face_dim, g.vertex_dirs.tobytes()) == want
     assert len(calls) == len(pts) * len(hull.facets)
 
 
@@ -145,15 +143,24 @@ def test_gauss_inverse_duality(cube_hull):
         ]
         for x in interior:
             g = gauss_map(cube_hull, x)
-            if not g.is_singleton:
+            if g.cell_dim != 0:
                 continue
-            face = inverse_gauss(cube_hull, g.cell_dirs[0])
+            face = classify_direction(cube_hull, g.vertex_dirs[0])
             assert face.face_id == facet.face_id
 
 
-def test_inverse_gauss_delegates(square_hull):
-    n = np.array([1.0, 0.0])
-    assert inverse_gauss(square_hull, n).face_id == classify_direction(square_hull, n).face_id
+@pytest.mark.parametrize("d, n, seed", [(2, 9, 3), (3, 14, 4), (4, 10, 5)])
+def test_gauss_map_at_face_centroid_is_the_dual_cell(d, n, seed):
+    hull = build_hull(random_configuration(np.random.default_rng(seed), n, d))
+    cells = spherical_dual(hull).cells
+    for face in hull.faces:
+        want = cells[face.face_id]
+        got = gauss_map(hull, hull.face_points(face.face_id).mean(axis=0))
+        assert (got.face_id, got.face_dim, got.cell_dim) == (want.face_id, want.face_dim,
+                                                              want.cell_dim)
+        assert got.face_id == face.face_id
+        assert got.vertex_dirs.shape == want.vertex_dirs.shape
+        assert got.vertex_dirs.tobytes() == want.vertex_dirs.tobytes()
 
 
 def test_w_set_square_edge(square_hull):
