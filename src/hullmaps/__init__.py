@@ -8,14 +8,9 @@ structure as ground truth, and measures the convergence.
 """
 
 from .boundary_map import (
-    MapImage,
-    WeightVector,
     c_factor,
-    evaluate,
-    evaluate_batch,
     evaluate_batch_array,
     limit_factor,
-    weights,
     weights_batch_array,
 )
 from .errors import (
@@ -46,11 +41,9 @@ from .hull_oracle import (
     Face,
     Facet,
     HullDescription,
-    boundary_distance,
     build_hull,
     classify_direction,
     classify_directions_bulk,
-    distance_to_face,
     distances_to_boundary,
     distances_to_face,
     in_normal_spherical_polytope,

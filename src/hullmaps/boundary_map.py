@@ -6,18 +6,20 @@ products of these factors, and the map value is the weighted point average.
 Products are formed in the log domain so that moderate n stays well clear of
 underflow.
 
-Every public evaluator runs one NumPy kernel, :func:`_eval_batch`, on the
-configuration's coordinate-major ``pair_planes``, read in place.  It fills
-``log_c`` in tiles of at most ``_CHUNK_BUDGET`` floats of (k, i, j) buffer:
-runs of whole direction rows while ``n*n`` fits, otherwise one direction and
-a slice of i rows.  The batch's directions are cut into one run per CPU in
-the process's affinity mask.  A batch of more than one run starts a worker
-thread per run and joins them before it returns, so no kernel thread
-outlives a call; a batch of one run (every one-direction call among them)
-stays on the calling thread.  A run finishes
-one block of rows (``log_c``, then the weights, then the images) before it
-starts the next, and when only images are wanted a block's ``log_c`` and
-weights live in per-run scratch, so no (N, n) array is made.
+The map has one public evaluator per result: :func:`evaluate_batch_array`
+for images and :func:`weights_batch_array` for ``(lambdas, log_c, images)``;
+a single ``(d,)`` direction is a one-row batch.  Both run one NumPy kernel,
+:func:`_eval_batch`, on the configuration's coordinate-major ``pair_planes``,
+read in place.  It fills ``log_c`` in tiles of at most ``_CHUNK_BUDGET``
+floats of (k, i, j) buffer: runs of whole direction rows while ``n*n`` fits,
+otherwise one direction and a slice of i rows.  The batch's directions are
+cut into one run per CPU in the process's affinity mask.  A batch of more
+than one run starts a worker thread per run and joins them before it
+returns, so no kernel thread outlives a call; a batch of one run (every
+one-row batch among them) stays on the calling thread.  A run finishes one
+block of rows (``log_c``, then the weights, then the images) before it starts
+the next, and when only images are wanted a block's ``log_c`` and weights
+live in per-run scratch, so no (N, n) array is made.
 
 A tile's dots are one ``np.einsum("kc,cij->kij")`` of its directions with its
 slice of the planes, at einsum's default ``optimize=False``, so no BLAS call.
@@ -36,8 +38,8 @@ that lies more than about 745 below the row maximum underflows in ``exp``.
 When only the images are wanted and the tiles are row-sliced, the kernel
 bounds every row of a direction from its projection rank, fills the top row
 and the rows whose bound can reach it, and leaves -inf in the others, so the
-weights and images are bitwise those of the full fill.  :func:`weights` and
-:func:`weights_batch_array` fill every row.
+weights and images are bitwise those of the full fill.
+:func:`weights_batch_array` fills every row.
 
 Each array operation is independent per ``(k, i)`` row and sums in a fixed
 order: the dots add coordinate by coordinate, each log row and weight row is
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,31 +77,7 @@ def _cpu_count() -> int:
 _WORKERS = _cpu_count()  # kernel runs per batch: one per CPU the process may use
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Barycentric weights of one direction: lambdas sum to 1, each in [0, 1].
-
-    Every weight is positive in exact arithmetic, but a weight whose ``log_c``
-    lies more than about 745 below the largest underflows to exactly 0.0 (92%
-    of them at n = 1000, eps = 1e-2 on Gaussian points); ``log_c`` keeps the
-    exact information.
-    """
-
-    epsilon: float
-    direction: np.ndarray
-    lambdas: np.ndarray
-    log_c: np.ndarray
-
-
-@dataclass(frozen=True)
-class MapImage:
-    """A direction together with its image point inside the hull."""
-
-    direction: np.ndarray
-    point: np.ndarray
-
-
-def _validate(config: PointConfiguration, epsilon: float) -> None:
+def _validate(epsilon: float) -> None:
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
 
@@ -300,7 +277,7 @@ def _eval_batch(points, planes, eps, dirs, images_only=False):
 
 def c_factor(config: PointConfiguration, i: int, j: int, epsilon: float, n) -> float:
     """Single pair factor ``eps + max(0, -<n, n_ij>)``; always positive."""
-    _validate(config, epsilon)
+    _validate(epsilon)
     _check_index(config, i)
     _check_index(config, j)
     if i == j:
@@ -310,48 +287,22 @@ def c_factor(config: PointConfiguration, i: int, j: int, epsilon: float, n) -> f
     return epsilon + max(0.0, -float(np.dot(d, nij)))
 
 
-def weights(config: PointConfiguration, epsilon: float, direction) -> WeightVector:
-    """Normalized point weights for one direction (log-domain, underflow-safe)."""
-    _validate(config, epsilon)
-    d = unit_direction(direction, config.dim)
-    lam, log_c, _ = _eval_batch(config.points, config.pair_planes, epsilon, d[None, :])
-    return WeightVector(epsilon=epsilon, direction=d, lambdas=lam[0], log_c=log_c[0])
-
-
-def evaluate(config: PointConfiguration, epsilon: float, direction) -> MapImage:
-    """Map one direction to its image point, a weighted average of the points."""
-    _validate(config, epsilon)
-    d = unit_direction(direction, config.dim)
-    _, _, img = _eval_batch(
-        config.points, config.pair_planes, epsilon, d[None, :], images_only=True
-    )
-    return MapImage(direction=d, point=img[0])
-
-
 def evaluate_batch_array(config: PointConfiguration, epsilon: float, dirs) -> np.ndarray:
     """Image points for a batch of directions as an (N, d) array.
 
-    Fast path used by the measurement harness; elementwise identical to
-    calling :func:`evaluate` per direction, regardless of batch splits.
+    A ``(d,)`` direction is a one-row batch.  Each row is bitwise the same
+    whatever batch the direction comes in and however the batch is split.
     """
-    _validate(config, epsilon)
+    _validate(epsilon)
     arr = unit_directions(dirs, config.dim)
     return _eval_batch(config.points, config.pair_planes, epsilon, arr, images_only=True)[2]
 
 
 def weights_batch_array(config: PointConfiguration, epsilon: float, dirs):
     """(lambdas, log_c, images) arrays for a batch of directions; every ``log_c`` row is filled."""
-    _validate(config, epsilon)
+    _validate(epsilon)
     arr = unit_directions(dirs, config.dim)
     return _eval_batch(config.points, config.pair_planes, epsilon, arr)
-
-
-def evaluate_batch(config: PointConfiguration, epsilon: float, dirs) -> list[MapImage]:
-    """Batch version of :func:`evaluate` returning one MapImage per direction."""
-    arr = unit_directions(dirs, config.dim)
-    _validate(config, epsilon)
-    img = _eval_batch(config.points, config.pair_planes, epsilon, arr, images_only=True)[2]
-    return [MapImage(direction=arr[k], point=img[k]) for k in range(arr.shape[0])]
 
 
 def limit_factor(config: PointConfiguration, i: int, n) -> float:

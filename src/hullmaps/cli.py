@@ -117,18 +117,17 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    eps_list = args.eps_list or set_metrics.DEFAULT_EPSILONS
     plan = _make_plan(args, config.dim)
     if args.degenerate:
         report = set_metrics.degenerate_limit_probe(
-            config, eps_list, plan, config_id=args.input)
+            config, args.eps_list, plan, config_id=args.input)
         fileio.write_degenerate_csv(args.out, report)
         print(f"span dim {report.span_dim}; "
               f"final sym distance {report.records[-1].sym_dist:.6g}")
         return EXIT_OK
     hull = build_hull(config, args.tol_coplanar)
     report = set_metrics.theorem_sweep(
-        config, hull, eps_list, plan, args.boundary_per_facet, config_id=args.input)
+        config, hull, args.eps_list, plan, args.boundary_per_facet, config_id=args.input)
     fileio.write_report_csv(args.out, report)
     fileio.write_report_summary(_with_suffix(args.out, "_summary.txt"), report)
     print(f"outer slope {report.slope:.4f} (residual {report.slope_residual:.4f})")
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=0,
                    help="drawn from only by gaussian_random plans and by caps in d >= 4")
-    p.add_argument("--eps-list", type=_parse_floats, default=(),
+    p.add_argument("--eps-list", type=_parse_floats, default=set_metrics.DEFAULT_EPSILONS,
                    help="comma-separated decreasing epsilons")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--strategy", choices=["uniform_grid_2d", "fibonacci_3d", "gaussian_random"])

@@ -16,15 +16,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_obj_points(path, points) -> None:
-    """OBJ point cloud: one ``v`` line per point (padded to 3 coordinates)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lines = []
-    for row in pts:
-        coords = list(row) + [0.0] * (3 - len(row))
-        lines.append("v " + " ".join(_fmt(c) for c in coords[:3]))
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path``, each ended by a Unix newline on every platform."""
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_obj_points(path, points) -> None:
+    """OBJ point cloud: one ``v`` line per point (padded to 3 coordinates)."""
+    write_obj_mesh(path, points, ())
 
 
 def read_obj_points(path) -> np.ndarray:
@@ -46,8 +46,7 @@ def write_obj_mesh(path, vertices, cells) -> None:
         lines.append("v " + " ".join(_fmt(c) for c in coords[:3]))
     for cell in cells:
         lines.append("f " + " ".join(str(int(i) + 1) for i in cell))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_obj_mesh(path):
@@ -85,8 +84,7 @@ def write_hull_document(path, hull: HullDescription) -> None:
     for fid, kids in sorted(hull.children.items()):
         pairs.extend(f"{kid}<{fid}" for kid in kids)
     lines.append("containment: " + " ".join(pairs))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_hull_document(path) -> dict:
@@ -146,8 +144,7 @@ def write_report_csv(path, report) -> None:
             _fmt(r.epsilon), _fmt(r.outer_dist), _fmt(r.inner_dist),
             str(r.n_samples), _fmt(r.wall_ms),
         ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_degenerate_csv(path, report) -> None:
@@ -156,8 +153,7 @@ def write_degenerate_csv(path, report) -> None:
         lines.append(",".join([
             _fmt(r.epsilon), _fmt(r.sym_dist), str(r.n_samples), _fmt(r.wall_ms),
         ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_report_csv(path) -> list:
@@ -183,8 +179,7 @@ def write_report_summary(path, report) -> None:
         lines.append(
             f"eps={_fmt(r.epsilon)} outer={_fmt(r.outer_dist)} inner={_fmt(r.inner_dist)}"
         )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def write_dual_descriptor(path, complex_, verdict=None) -> None:
@@ -199,8 +194,7 @@ def write_dual_descriptor(path, complex_, verdict=None) -> None:
     if verdict is not None:
         lines.append(f"equivalent: {str(verdict.equivalent).lower()}")
         lines.append(f"flattened_convex: {str(verdict.flattened_convex).lower()}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_dual_descriptor(path) -> dict:
@@ -274,5 +268,4 @@ def write_svg(path, config, hull, images) -> None:
         x, y = tx(p)
         lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="4" fill="#d62728"/>')
     lines.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

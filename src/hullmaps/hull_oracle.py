@@ -472,23 +472,6 @@ def distances_to_face(hull: HullDescription, face_id: int, points) -> np.ndarray
     return dist
 
 
-def distance_to_face(hull: HullDescription, face_id: int, p) -> float:
-    """Euclidean distance from one point p to a face polytope."""
-    return float(distances_to_face(hull, face_id, p)[0])
-
-
-def _facet_distances(hull: HullDescription, p) -> np.ndarray:
-    """Distances from one point p to every facet polytope, in ``hull.facets`` order."""
-    return np.array([distance_to_face(hull, facet.face_id, p) for facet in hull.facets])
-
-
-def boundary_distance(hull: HullDescription, p):
-    """(distance to the hull boundary, face id of the nearest facet)."""
-    dists = _facet_distances(hull, p)
-    k = int(np.argmin(dists))
-    return float(dists[k]), hull.facets[k].face_id
-
-
 def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
     """Vectorized boundary distances for a batch of points.
 
@@ -520,7 +503,8 @@ def minimal_face_containing(hull: HullDescription, x, tol: float | None = None):
     x = np.asarray(x, dtype=float)
     if tol is None:
         tol = 1e-7 * (1.0 + hull.diameter)
-    return _face_within(hull, _facet_distances(hull, x), tol)
+    dists = [distances_to_face(hull, f.face_id, x)[0] for f in hull.facets]
+    return _face_within(hull, np.array(dists), tol)
 
 
 def _face_within(hull: HullDescription, facet_dists: np.ndarray, tol: float):

@@ -177,10 +177,10 @@ def outer_normal_transform(hull: HullDescription) -> HullDescription:
     return build_hull(_normals_config(hull))
 
 
-def _flattened_convex(hull: HullDescription, cells: list, planarity_tol: float) -> bool:
+def _flattened_convex(hull: HullDescription, cells: list) -> bool:
     """Whether every vertex cell (its facet positions) is planar within
-    ``planarity_tol`` and its plane keeps every other facet normal strictly
-    on the origin side."""
+    ``FLATTEN_PLANARITY_TOL`` and its plane keeps every other facet normal
+    strictly on the origin side."""
     # each cell's best-fit plane, the cells of one size as one stacked SVD
     planes = np.empty((len(cells), 3))
     offsets = np.empty(len(cells))
@@ -193,7 +193,7 @@ def _flattened_convex(hull: HullDescription, cells: list, planarity_tol: float) 
         normal = np.where(flip[:, None], -normal, normal)
         offset = np.where(flip, -offset, offset)
         slack = np.abs((dirs @ normal[:, :, None])[..., 0] - offset[:, None])
-        if not (slack.max(axis=1) <= planarity_tol).all():
+        if not (slack.max(axis=1) <= FLATTEN_PLANARITY_TOL).all():
             return False
         planes[where], offsets[where] = normal, offset
 
@@ -205,13 +205,12 @@ def _flattened_convex(hull: HullDescription, cells: list, planarity_tol: float) 
         dots = _rowdot(hull.normals[None], planes[block, None])
         for row, positions in zip(dots, cells[block]):
             row[positions] = -np.inf  # the incident facets
-        if (dots > (offsets[block] - planarity_tol)[:, None]).any():
+        if (dots > (offsets[block] - FLATTEN_PLANARITY_TOL)[:, None]).any():
             return False
     return True
 
 
-def dual_combinatorics_check(hull: HullDescription,
-                             planarity_tol: float = FLATTEN_PLANARITY_TOL) -> DualCheckResult:
+def dual_combinatorics_check(hull: HullDescription) -> DualCheckResult:
     """Convexity of the flattened dual vs combinatorial equivalence of the transform.
 
     ``flattened_convex`` holds iff every flattened cell is planar and its
@@ -221,22 +220,21 @@ def dual_combinatorics_check(hull: HullDescription,
     vertex stars (the set of facets incident to each vertex): the transform
     is then dual to the hull under the facet-to-normal labelling.  The two
     booleans agree on every valid input whose facet normals lie well apart
-    compared with ``planarity_tol``; on a nearly degenerate hull, such as a
-    cube perturbed by 1e-4, a flattened cell can pass as planar within
-    ``planarity_tol`` while the transform's facets split it.  The check finds
-    the normals' facets but builds no face lattice.
+    compared with ``FLATTEN_PLANARITY_TOL``; on a nearly degenerate hull, such
+    as a cube perturbed by 1e-4, a flattened cell can pass as planar within
+    ``FLATTEN_PLANARITY_TOL`` while the transform's facets split it.  The
+    check finds the normals' facets but builds no face lattice.
     """
     if hull.dim != 3:
         raise DimensionUnsupportedError("duality check is defined for d = 3")
     cells = [positions for _, positions in _vertex_cells(hull)]
-    return _dual_check(hull, cells, set(_hull_facets(_normals_config(hull))[0]), planarity_tol)
+    return _dual_check(hull, cells, set(_hull_facets(_normals_config(hull))[0]))
 
 
-def _dual_check(hull: HullDescription, cells: list, normal_facets: set,
-                planarity_tol: float = FLATTEN_PLANARITY_TOL) -> DualCheckResult:
+def _dual_check(hull: HullDescription, cells: list, normal_facets: set) -> DualCheckResult:
     """:func:`dual_combinatorics_check` from the hull's vertex cells (their
     facet positions) and the point sets of the normals' hull facets."""
-    flattened_convex = _flattened_convex(hull, cells, planarity_tol)
+    flattened_convex = _flattened_convex(hull, cells)
     # transform point k is the normal of hull facet k, and every distinct unit
     # vector is extreme, so both sides below are sets of facet labels
     stars = {frozenset(positions.tolist()) for positions in cells}

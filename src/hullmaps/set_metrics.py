@@ -151,16 +151,14 @@ def _min_dists(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
 def directed_hausdorff(a, target) -> float:
     """max over points of A of the distance to the target set.
 
-    ``target`` may be a finite point set, a HullDescription (distance to its
-    boundary), or a callable mapping a point batch to distances.
+    ``target`` may be a finite point set or a HullDescription (distance to
+    its boundary).
     """
     pts = np.atleast_2d(np.asarray(a, dtype=float))
     if pts.size == 0:
         raise EmptySetError("directed distance from an empty set")
     if isinstance(target, HullDescription):
         return float(distances_to_boundary(target, pts).max())
-    if callable(target):
-        return float(np.max(target(pts)))
     tgt = np.atleast_2d(np.asarray(target, dtype=float))
     if tgt.size == 0:
         raise EmptySetError("directed distance to an empty set")

@@ -5,19 +5,16 @@ from hullmaps import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     TooManyPointsError,
-    boundary_distance,
     build_configuration,
     build_hull,
     c_factor,
     classify_direction,
     classify_directions_bulk,
-    evaluate,
-    evaluate_batch,
+    distances_to_boundary,
     evaluate_batch_array,
     in_normal_spherical_polytope,
     limit_factor,
     support_margin,
-    weights,
     weights_batch_array,
 )
 from tests.conftest import random_configuration
@@ -49,9 +46,9 @@ def test_pair_factor_index_errors(pair_1d):
 
 
 def test_weights_hand_values(pair_1d):
-    w = weights(pair_1d, 0.01, [1.0])
-    assert w.lambdas == pytest.approx([0.01 / 1.02, 1.01 / 1.02], abs=1e-15)
-    assert w.lambdas.sum() == pytest.approx(1.0, abs=1e-12)
+    lam = weights_batch_array(pair_1d, 0.01, [1.0])[0][0]
+    assert lam == pytest.approx([0.01 / 1.02, 1.01 / 1.02], abs=1e-15)
+    assert lam.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weights_sum_to_one_random():
@@ -63,32 +60,34 @@ def test_weights_sum_to_one_random():
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
         eps = float(10.0 ** rng.uniform(-4, -1))
-        lam = weights(cfg, eps, v).lambdas
+        lam = weights_batch_array(cfg, eps, v)[0][0]
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(lam > 0.0) and np.all(lam < 1.0)
 
 
 def test_weights_concentrate_in_vertex_cell(triangle):
-    lam = weights(triangle, 1e-6, DIAG).lambdas
+    lam = weights_batch_array(triangle, 1e-6, DIAG)[0][0]
     assert lam[0] > 1.0 - 1e-5
     assert lam[1] < 1e-5 and lam[2] < 1e-5
 
 
 def test_evaluate_hand_values(pair_1d):
-    assert evaluate(pair_1d, 0.01, [1.0]).point[0] == pytest.approx(1.01 / 1.02, abs=1e-14)
-    assert evaluate(pair_1d, 0.01, [-1.0]).point[0] == pytest.approx(0.01 / 1.02, abs=1e-14)
+    up = evaluate_batch_array(pair_1d, 0.01, [1.0])[0]
+    down = evaluate_batch_array(pair_1d, 0.01, [-1.0])[0]
+    assert up[0] == pytest.approx(1.01 / 1.02, abs=1e-14)
+    assert down[0] == pytest.approx(0.01 / 1.02, abs=1e-14)
 
 
 def test_evaluate_symmetric_config_on_axis():
     cfg = build_configuration([[1, 0], [-1, 0], [0, 1], [0, -1]])
-    img = evaluate(cfg, 0.05, [1.0, 0.0]).point
+    img = evaluate_batch_array(cfg, 0.05, [1.0, 0.0])[0]
     assert abs(img[1]) < 1e-12
 
 
 def test_epsilon_domain(pair_1d):
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            evaluate(pair_1d, bad, [1.0])
+            evaluate_batch_array(pair_1d, bad, [1.0])
 
 
 def test_documented_limits():
@@ -98,17 +97,19 @@ def test_documented_limits():
 
 
 def test_batch_empty_and_singleton(triangle):
-    assert evaluate_batch(triangle, 0.1, np.empty((0, 2))) == []
-    single = evaluate_batch(triangle, 0.1, DIAG[None, :])
-    assert len(single) == 1
-    assert np.array_equal(single[0].point, evaluate(triangle, 0.1, DIAG).point)
+    assert evaluate_batch_array(triangle, 0.1, np.empty((0, 2))).shape == (0, 2)
+    single = evaluate_batch_array(triangle, 0.1, DIAG)
+    assert single.shape == (1, 2)
+    assert np.array_equal(single, evaluate_batch_array(triangle, 0.1, DIAG[None, :]))
+    batch = evaluate_batch_array(triangle, 0.1, np.vstack([[1.0, 0.0], DIAG, [0.0, 1.0]]))
+    assert np.array_equal(single[0], batch[1])
 
 
 def test_batch_unit_norm_tolerance(triangle):
-    """The batch path rejects a norm error of 1e-10 as the single path does."""
+    """A norm error of 1e-10 is rejected in a (d,) vector and in a batch."""
     v = DIAG * (1.0 + 1e-10)
     with pytest.raises(ValueError):
-        evaluate(triangle, 0.1, v)
+        evaluate_batch_array(triangle, 0.1, v)
     with pytest.raises(ValueError):
         evaluate_batch_array(triangle, 0.1, v[None, :])
 
@@ -117,30 +118,24 @@ def test_batch_unit_norm_tolerance(triangle):
 def test_non_finite_directions_rejected(triangle, bad):
     """A NaN or infinite component fails the unit-norm check on every path."""
     v = np.array([bad, 0.0])
-    for single in (evaluate, weights):
-        with pytest.raises(ValueError):
-            single(triangle, 0.1, v)
     batch = np.vstack([v, DIAG])  # a valid row beside the bad one
     for batched in (evaluate_batch_array, weights_batch_array):
-        with pytest.raises(ValueError):
-            batched(triangle, 0.1, batch)
+        for dirs in (v, batch):
+            with pytest.raises(ValueError):
+                batched(triangle, 0.1, dirs)
 
 
 _DIRECTION_TAKERS = {
-    "evaluate": lambda cfg, hull, u: evaluate(cfg, 0.1, u),
-    "weights": lambda cfg, hull, u: weights(cfg, 0.1, u),
     "c_factor": lambda cfg, hull, u: c_factor(cfg, 0, 1, 0.1, u),
     "limit_factor": lambda cfg, hull, u: limit_factor(cfg, 0, u),
     "in_normal_spherical_polytope": lambda cfg, hull, u: in_normal_spherical_polytope(cfg, 0, u),
     "classify_direction": lambda cfg, hull, u: classify_direction(hull, u),
     "support_margin": lambda cfg, hull, u: support_margin(hull, u),
     "classify_directions_bulk": lambda cfg, hull, u: classify_directions_bulk(hull, u),
-    "evaluate_batch": lambda cfg, hull, u: evaluate_batch(cfg, 0.1, u),
     "evaluate_batch_array": lambda cfg, hull, u: evaluate_batch_array(cfg, 0.1, u),
     "weights_batch_array": lambda cfg, hull, u: weights_batch_array(cfg, 0.1, u),
 }
-_BATCHED = {"classify_directions_bulk", "evaluate_batch", "evaluate_batch_array",
-            "weights_batch_array"}
+_BATCHED = {"classify_directions_bulk", "evaluate_batch_array", "weights_batch_array"}
 
 
 @pytest.mark.parametrize("name", list(_DIRECTION_TAKERS))
@@ -175,7 +170,7 @@ def test_batch_equals_sequential_exactly():
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     batch = evaluate_batch_array(cfg, 1e-2, v)
     for k in rng.integers(0, 1000, size=25):
-        assert np.array_equal(batch[k], evaluate(cfg, 1e-2, v[k]).point)
+        assert np.array_equal(batch[k], evaluate_batch_array(cfg, 1e-2, v[k])[0])
 
 
 def test_limit_factor_triangle_values(triangle):
@@ -221,7 +216,7 @@ def test_strict_interior(triangle, triangle_hull):
     for eps in (1e-1, 1e-3):
         images = evaluate_batch_array(triangle, eps, dirs)
         for img in images:
-            assert boundary_distance(triangle_hull, img)[0] > 1e-12
+            assert distances_to_boundary(triangle_hull, img)[0] > 1e-12
 
 
 def test_pointwise_vertex_limit_rate():
@@ -246,7 +241,7 @@ def test_pointwise_vertex_limit_rate():
         if margin < 0.05:
             continue
         errs = [
-            float(np.linalg.norm(evaluate(cfg, e, v).point - cfg.points[i]))
+            float(np.linalg.norm(evaluate_batch_array(cfg, e, v)[0] - cfg.points[i]))
             for e in eps_list
         ]
         slope = np.polyfit(np.log10(eps_list[-3:]), np.log10(errs[-3:]), 1)[0]
@@ -265,6 +260,6 @@ def test_scaling_equivariance():
     b = build_configuration(s * pts + t)
     v = rng.standard_normal(3)
     v /= np.linalg.norm(v)
-    ia = evaluate(a, 1e-2, v).point
-    ib = evaluate(b, 1e-2, v).point
+    ia = evaluate_batch_array(a, 1e-2, v)[0]
+    ib = evaluate_batch_array(b, 1e-2, v)[0]
     assert np.allclose(ib, s * ia + t, rtol=1e-9, atol=1e-9)

@@ -217,6 +217,18 @@ def test_cmd_converge_rejects_zero_eps(tmp_path, tri_csv):
     assert code == 2
 
 
+def test_cmd_converge_empty_eps_list_exit_2(tmp_path, tri_csv, capsys):
+    # an explicit empty list is an error, not a request for the default epsilons
+    col = tmp_path / "col.csv"
+    write_points_csv(col, [[0, 0], [1, 1], [2, 2]])
+    out = tmp_path / "e.csv"
+    for argv in ([tri_csv], [str(col), "--degenerate"]):
+        assert main(["converge", *argv, "--out", str(out), "--samples", "50",
+                     "--eps-list", ""]) == 2
+        assert "need at least one epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cmd_classify(tmp_path, capsys):
     src = tmp_path / "sq.csv"
     write_points_csv(src, [[0, 0], [1, 0], [1, 1], [0, 1]])

@@ -13,7 +13,6 @@ from hullmaps import (
     DegenerateConfigurationError,
     SamplingExhaustedError,
     TooManyPointsError,
-    boundary_distance,
     build_configuration,
     build_hull,
     classify_direction,
@@ -279,13 +278,10 @@ def test_vertex_flags_match_random_support_argmax():
 
 
 def test_boundary_distance_examples(square_hull, triangle_hull):
-    d, _ = boundary_distance(square_hull, [0.5, 0.5])
-    assert d == pytest.approx(0.5, abs=1e-12)
-    d, fid = boundary_distance(square_hull, [2.0, 0.5])
-    assert d == pytest.approx(1.0, abs=1e-12)
-    face = square_hull.faces[fid]
-    assert set(face.vertex_indices) == {1, 2}  # the x = 1 edge
-    d, _ = boundary_distance(triangle_hull, [1.0, 1.0])
+    d = distances_to_boundary(square_hull, [[0.5, 0.5], [2.0, 0.5]])
+    assert d[0] == pytest.approx(0.5, abs=1e-12)
+    assert d[1] == pytest.approx(1.0, abs=1e-12)
+    d = distances_to_boundary(triangle_hull, [1.0, 1.0])[0]
     assert d == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
 
 
@@ -349,7 +345,7 @@ def test_brute_force_distance_oracle(square_hull):
     for _ in range(20):
         p = rng.uniform(-0.5, 1.5, size=2)
         brute = np.linalg.norm(edge_points - p, axis=1).min()
-        mine = boundary_distance(square_hull, p)[0]
+        mine = distances_to_boundary(square_hull, p)[0]
         assert mine == pytest.approx(brute, abs=1e-4)
 
 

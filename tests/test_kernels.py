@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullmaps import (boundary_map, build_configuration, c_factor, evaluate, evaluate_batch,
-                      evaluate_batch_array, weights, weights_batch_array)
+from hullmaps import (boundary_map, build_configuration, c_factor, evaluate_batch_array,
+                      weights_batch_array)
 from hullmaps.boundary_map import _eval_batch
 from tests.serial_kernel import _eval_batch as serial_eval_batch
 
@@ -61,7 +61,7 @@ def test_kernel_matches_direct_pair_products(n_points, dim):
 def test_batch_matches_sequential_bitwise(medium_config, dirs_batch):
     batch = evaluate_batch_array(medium_config, 1e-3, dirs_batch)
     for k in range(0, dirs_batch.shape[0], 50):
-        single = evaluate(medium_config, 1e-3, dirs_batch[k]).point
+        single = evaluate_batch_array(medium_config, 1e-3, dirs_batch[k])[0]
         assert np.array_equal(batch[k], single)
 
 
@@ -406,16 +406,15 @@ def test_most_rows_skipped_at_max_points():
     assert np.isfinite(log_c).mean() < 0.4
     want = serial_eval_batch(cfg.points, cfg.pairwise_dirs, 1e-2, dirs)
     assert evaluate_batch_array(cfg, 1e-2, dirs).tobytes() == want[2].tobytes()
-    assert [m.point.tobytes() for m in evaluate_batch(cfg, 1e-2, dirs)] == \
-        [row.tobytes() for row in want[2]]
-    assert evaluate(cfg, 1e-2, dirs[0]).point.tobytes() == want[2][0].tobytes()
+    assert evaluate_batch_array(cfg, 1e-2, dirs[0]).tobytes() == want[2][:1].tobytes()
     # the weights keep every row of log_c
     for got, full in zip(weights_batch_array(cfg, 1e-2, dirs), want):
         assert np.isfinite(got).all() and got.tobytes() == full.tobytes()
 
 
 def test_kernel_reads_the_pair_table_in_place(medium_config, dirs_batch, monkeypatch):
-    """Every evaluator hands the configuration's own planes to the kernel runs."""
+    """Both evaluators hand the configuration's own planes to the kernel runs,
+    for one row, a few rows and a two-run batch."""
     monkeypatch.setattr(boundary_map, "_WORKERS", 2)
     seen = []
     run = boundary_map._run
@@ -426,9 +425,9 @@ def test_kernel_reads_the_pair_table_in_place(medium_config, dirs_batch, monkeyp
 
     monkeypatch.setattr(boundary_map, "_run", spy)
     cfg = medium_config
-    evaluate(cfg, 1e-2, dirs_batch[0])
-    weights(cfg, 1e-2, dirs_batch[0])
-    evaluate_batch(cfg, 1e-2, dirs_batch[:3])
+    evaluate_batch_array(cfg, 1e-2, dirs_batch[0])
+    weights_batch_array(cfg, 1e-2, dirs_batch[0])
+    evaluate_batch_array(cfg, 1e-2, dirs_batch[:3])
     evaluate_batch_array(cfg, 1e-2, dirs_batch)
     weights_batch_array(cfg, 1e-2, dirs_batch)
     assert len(seen) == 7  # the two 500-direction batches take two runs each
@@ -510,8 +509,8 @@ def test_import_and_single_direction_start_no_threads():
         "import threading, numpy as np, hullmaps\n"
         "before = threading.active_count()\n"
         "cfg = hullmaps.build_configuration(np.random.default_rng(0).standard_normal((1000, 3)))\n"
-        "hullmaps.evaluate(cfg, 1e-3, [0.0, 0.6, 0.8])\n"
-        "hullmaps.weights(cfg, 1e-3, [0.0, 0.8, 0.6])\n"
+        "hullmaps.evaluate_batch_array(cfg, 1e-3, [0.0, 0.6, 0.8])\n"
+        "hullmaps.weights_batch_array(cfg, 1e-3, [0.0, 0.8, 0.6])\n"
         "print(before, threading.active_count())\n"
     )
     src = str(Path(boundary_map.__file__).resolve().parents[1])

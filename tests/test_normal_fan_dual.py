@@ -5,10 +5,10 @@ from hullmaps import (
     DimensionUnsupportedError,
     NotOnBoundaryError,
     TooManyPointsError,
-    boundary_distance,
     build_configuration,
     build_hull,
     classify_direction,
+    distances_to_boundary,
     dual_combinatorics_check,
     flattened_spherical_dual,
     gauss_map,
@@ -109,8 +109,8 @@ def test_gauss_map_rejects_off_boundary(square_hull):
 
 @pytest.mark.parametrize("d, n, seed", [(3, 12, 0), (3, 40, 0), (4, 9, 1), (4, 11, 2)])
 def test_gauss_map_matches_one_point_queries(monkeypatch, d, n, seed):
-    """gauss_map equals boundary_distance + minimal_face_containing, and measures
-    each facet distance once."""
+    """gauss_map equals distances_to_boundary + minimal_face_containing, and
+    measures each facet distance once."""
     from hullmaps import hull_oracle
 
     hull = build_hull(random_configuration(np.random.default_rng(seed), n, d))
@@ -119,14 +119,14 @@ def test_gauss_map_matches_one_point_queries(monkeypatch, d, n, seed):
     by_id = {f.face_id: f for f in hull.facets}
     expected = []
     for x in pts:
-        assert boundary_distance(hull, x)[0] <= tol
+        assert distances_to_boundary(hull, x)[0] <= tol
         face = minimal_face_containing(hull, x, tol)
         expected.append((face.face_id, face.dim, np.asarray(
             [by_id[fid].outward_normal for fid in face.incident_facets]).tobytes()))
 
     calls = []
-    face_distance = hull_oracle.distance_to_face
-    monkeypatch.setattr(hull_oracle, "distance_to_face",
+    face_distance = hull_oracle.distances_to_face
+    monkeypatch.setattr(hull_oracle, "distances_to_face",
                         lambda *args: calls.append(1) or face_distance(*args))
     for x, want in zip(pts, expected):
         g = gauss_map(hull, x)
@@ -342,11 +342,12 @@ def test_dual_check_agreement_properties():
         assert res.equivalent == res.flattened_convex
 
 
-def test_vertex_cells_and_convexity_match_loop():
+def test_vertex_cells_and_convexity_match_loop(monkeypatch):
     """The stacked vertex cells and plane tests equal the per-vertex loop's:
     the same cyclic facet orders, and the same convexity verdict at four
-    planarity tolerances, on the duality polytopes and their normals' hulls,
-    Gaussian sets, sphere points and perturbed cubes."""
+    planarity tolerances (set through ``FLATTEN_PLANARITY_TOL``), on the
+    duality polytopes and their normals' hulls, Gaussian sets, sphere points
+    and perturbed cubes."""
     rng = np.random.default_rng(12)
     cases = [np.asarray(pts, dtype=float) for pts in _duality_polytopes()]
     cases += [rng.standard_normal((n, 3)) for n in (5, 8, 12, 20, 40, 100)]
@@ -363,11 +364,12 @@ def test_vertex_cells_and_convexity_match_loop():
             assert [(i, p.tolist()) for i, p in got] == [(i, p.tolist()) for i, p in want]
             cells = [p for _, p in got]
             for tol in (1e-12, 1e-7, 1e-4, 1e-2):
+                monkeypatch.setattr(normal_fan_dual, "FLATTEN_PLANARITY_TOL", tol)
                 # the convexity half of the check: a transform hull's own
                 # normals can exceed the 1000-point limit of its other half
-                verdict = normal_fan_dual._flattened_convex(h, cells, tol)
+                verdict = normal_fan_dual._flattened_convex(h, cells)
                 if h is hull:
-                    assert dual_combinatorics_check(h, tol).flattened_convex == verdict
+                    assert dual_combinatorics_check(h).flattened_convex == verdict
                 assert verdict == hull_loop.flattened_convex(h, tol)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
