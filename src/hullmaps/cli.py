@@ -116,18 +116,21 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
+    if args.degenerate and args.boundary_per_facet is not None:
+        raise ValueError("--boundary-per-facet does not apply to --degenerate")
     config = _load_config(args)
     plan = _make_plan(args, config.dim)
     if args.degenerate:
         report = set_metrics.degenerate_limit_probe(
             config, args.eps_list, plan, config_id=args.input)
-        fileio.write_degenerate_csv(args.out, report)
+        fileio.write_report_csv(args.out, report, fileio.DEGENERATE_COLUMNS)
         print(f"span dim {report.span_dim}; "
               f"final sym distance {report.records[-1].sym_dist:.6g}")
         return EXIT_OK
     hull = build_hull(config, args.tol_coplanar)
-    report = set_metrics.theorem_sweep(
-        config, hull, args.eps_list, plan, args.boundary_per_facet, config_id=args.input)
+    per_facet = 200 if args.boundary_per_facet is None else args.boundary_per_facet
+    report = set_metrics.theorem_sweep(config, hull, args.eps_list, plan, per_facet,
+                                       config_id=args.input)
     fileio.write_report_csv(args.out, report)
     fileio.write_report_summary(_with_suffix(args.out, "_summary.txt"), report)
     print(f"outer slope {report.slope:.4f} (residual {report.slope_residual:.4f})")
@@ -211,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated decreasing epsilons")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--strategy", choices=["uniform_grid_2d", "fibonacci_3d", "gaussian_random"])
-    p.add_argument("--boundary-per-facet", type=int, default=200)
+    p.add_argument("--boundary-per-facet", type=int, default=None,
+                   help="boundary samples per facet (default 200); not with --degenerate")
     p.add_argument("--degenerate", action="store_true",
                    help="measure against the full lower-dimensional hull")
 

@@ -28,13 +28,8 @@ def write_obj_points(path, points) -> None:
 
 
 def read_obj_points(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for ln in fh:
-            parts = ln.split()
-            if parts and parts[0] == "v":
-                rows.append([float(p) for p in parts[1:4]])
-    return np.asarray(rows, dtype=float)
+    """The ``v`` rows of an OBJ file; its ``f`` lines are ignored."""
+    return read_obj_mesh(path)[0]
 
 
 def write_obj_mesh(path, vertices, cells) -> None:
@@ -137,22 +132,12 @@ REPORT_COLUMNS = ("epsilon", "outer_dist", "inner_dist", "n_samples", "wall_ms")
 DEGENERATE_COLUMNS = ("epsilon", "sym_dist", "n_samples", "wall_ms")
 
 
-def write_report_csv(path, report) -> None:
-    lines = [",".join(REPORT_COLUMNS)]
+def write_report_csv(path, report, columns=REPORT_COLUMNS) -> None:
+    """One row per record: the record attribute named by each column."""
+    lines = [",".join(columns)]
     for r in report.records:
-        lines.append(",".join([
-            _fmt(r.epsilon), _fmt(r.outer_dist), _fmt(r.inner_dist),
-            str(r.n_samples), _fmt(r.wall_ms),
-        ]))
-    _write_lines(path, lines)
-
-
-def write_degenerate_csv(path, report) -> None:
-    lines = [",".join(DEGENERATE_COLUMNS)]
-    for r in report.records:
-        lines.append(",".join([
-            _fmt(r.epsilon), _fmt(r.sym_dist), str(r.n_samples), _fmt(r.wall_ms),
-        ]))
+        lines.append(",".join(str(getattr(r, k)) if k == "n_samples" else _fmt(getattr(r, k))
+                              for k in columns))
     _write_lines(path, lines)
 
 

@@ -60,11 +60,23 @@ SLOPE_FIT_DECADES = 2.0
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One eps step of a probe: the directed distances between image and target.
+
+    ``outer_dist`` is the largest distance from an image point to the target
+    set, ``inner_dist`` the largest distance from a target sample to the
+    nearest image point, and ``n_samples`` the number of directions mapped.
+    """
+
     epsilon: float
     outer_dist: float
     inner_dist: float
     n_samples: int
     wall_ms: float
+
+    @property
+    def sym_dist(self) -> float:
+        """The symmetric Hausdorff distance between image and sampled target."""
+        return max(self.outer_dist, self.inner_dist)
 
 
 @dataclass(frozen=True)
@@ -91,25 +103,9 @@ class ConvergenceReport:
 
 
 @dataclass(frozen=True)
-class FaceLimitRecord:
-    epsilon: float
-    image_to_face: float
-    face_to_image: float
-    n_probe: int
-
-
-@dataclass(frozen=True)
 class FaceLimitReport:
     face_id: int
     records: tuple
-
-
-@dataclass(frozen=True)
-class DegenerateRecord:
-    epsilon: float
-    sym_dist: float
-    n_samples: int
-    wall_ms: float
 
 
 @dataclass(frozen=True)
@@ -315,6 +311,27 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
     return np.concatenate(out)
 
 
+def _probe(config: PointConfiguration, epsilons, sources, to_target, samples) -> tuple:
+    """The eps loop shared by the convergence probes: one SweepRecord per eps.
+
+    Per eps, the direction blocks ``sources(eps)`` are stacked and mapped in
+    one kernel call.  The outer distance is the largest of ``to_target``'s
+    per-image target distances, the inner distance the largest distance from
+    a row of ``samples`` to its nearest image.
+    """
+    records = []
+    for eps in _validate_epsilons(epsilons):
+        t0 = time.perf_counter()
+        dirs = np.vstack(sources(eps))
+        images = evaluate_batch_array(config, eps, dirs)
+        outer = float(to_target(images).max())
+        inner = float(_min_dists(samples, images).max())
+        records.append(SweepRecord(epsilon=eps, outer_dist=outer, inner_dist=inner,
+                                   n_samples=dirs.shape[0],
+                                   wall_ms=(time.perf_counter() - t0) * 1e3))
+    return tuple(records)
+
+
 def theorem_sweep(config: PointConfiguration, hull: HullDescription, epsilons,
                   global_plan: SamplePlan, boundary_per_facet: int,
                   cap_count_per_facet: int = 3000,
@@ -328,31 +345,23 @@ def theorem_sweep(config: PointConfiguration, hull: HullDescription, epsilons,
     from that image set to the hull boundary.  Inner distance: max distance
     from boundary samples to the nearest image.
     """
-    eps_list = _validate_epsilons(epsilons)
     dirs_global = sample(global_plan)
     boundary_pts, _ = sample_boundary(hull, boundary_per_facet, seed=boundary_seed)
 
-    records = []
-    for eps in eps_list:
-        t0 = time.perf_counter()
-        cap_dirs = np.vstack([
+    def sources(eps):
+        return [dirs_global] + [
             cap_directions(facet.outward_normal, eps, COARSE_CAP_RADIUS,
                            cap_count_per_facet, ladder_cap_count,
                            global_plan.seed + 1 + 97 * k)
             for k, facet in enumerate(hull.facets)
-        ] + [arc_tube_directions(hull, eps)])
-        dirs = np.vstack([dirs_global, cap_dirs])
-        images_all = evaluate_batch_array(config, eps, dirs)
-        outer = float(distances_to_boundary(hull, images_all).max())
-        inner = float(_min_dists(boundary_pts, images_all).max())
+        ] + [arc_tube_directions(hull, eps)]
 
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(SweepRecord(epsilon=eps, outer_dist=outer, inner_dist=inner,
-                                   n_samples=dirs.shape[0], wall_ms=wall_ms))
-
-    slope, resid = _fit_loglog_slope(eps_list, [r.outer_dist for r in records])
+    records = _probe(config, epsilons, sources,
+                     lambda images: distances_to_boundary(hull, images), boundary_pts)
+    slope, resid = _fit_loglog_slope([r.epsilon for r in records],
+                                     [r.outer_dist for r in records])
     return ConvergenceReport(config_id=config_id, diameter=hull.diameter,
-                             records=tuple(records), slope=slope, slope_residual=resid)
+                             records=records, slope=slope, slope_residual=resid)
 
 
 def _face_center_direction(hull: HullDescription, face_id: int) -> np.ndarray:
@@ -373,12 +382,13 @@ def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id:
     centered on the face ``center_face`` (defaulting to the probed face
     itself) and augmented with the dyadic eps-scale ladder of ``count``
     directions per rung; only directions classified inside the face's open
-    neighborhood on the sphere are kept.
+    neighborhood on the sphere are kept.  Per eps, ``outer_dist`` runs from
+    the images to the face and ``inner_dist`` from face samples to the
+    images; ``n_samples`` counts the kept directions.
     """
     face = hull.faces[face_id]
     if face.dim < 1:
         raise ValueError("face probes need a face of dimension >= 1")
-    eps_list = _validate_epsilons(epsilons)
 
     center_fid = face_id if center_face is None else center_face
     center = _face_center_direction(hull, center_fid)
@@ -386,25 +396,21 @@ def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id:
     tube_edges = [fid for fid in _faces_below(hull, center_fid) | {center_fid}
                   if hull.faces[fid].dim == 1]
 
-    allowed = _faces_below(hull, face_id) | {face_id}
+    allowed = list(_faces_below(hull, face_id) | {face_id})
     face_pts = sample_face_points(hull, face_id, face_sample_count, face_seed)
 
-    records = []
-    for eps in eps_list:
-        caps = cap_directions(center, eps, cap_radius, count, count, seed)
-        tubes = arc_tube_directions(hull, eps, face_ids=tube_edges,
-                                    allowed_points=focus_set)
-        dirs = np.vstack([caps, tubes])
-        ids = classify_directions_bulk(hull, dirs)
-        keep = np.isin(ids, list(allowed))
+    def sources(eps):
+        dirs = np.vstack([cap_directions(center, eps, cap_radius, count, count, seed),
+                          arc_tube_directions(hull, eps, face_ids=tube_edges,
+                                              allowed_points=focus_set)])
+        keep = np.isin(classify_directions_bulk(hull, dirs), allowed)
         if not np.any(keep):
             raise EmptyProbeError(f"no probe directions landed in the open set of face {face_id}")
-        images = evaluate_batch_array(config, eps, dirs[keep])
-        d_img = float(distances_to_face(hull, face_id, images).max())
-        d_face = float(_min_dists(face_pts, images).max())
-        records.append(FaceLimitRecord(epsilon=eps, image_to_face=d_img,
-                                       face_to_image=d_face, n_probe=int(keep.sum())))
-    return FaceLimitReport(face_id=face_id, records=tuple(records))
+        return [dirs[keep]]
+
+    return FaceLimitReport(face_id=face_id, records=_probe(
+        config, epsilons, sources, lambda images: distances_to_face(hull, face_id, images),
+        face_pts))
 
 
 class _SpanHull:
@@ -481,35 +487,28 @@ def degenerate_limit_probe(config: PointConfiguration, epsilons, plan: SamplePla
     Images of a degenerate configuration stay inside the lower-dimensional
     hull; coverage of its interior comes from directions nearly orthogonal to
     the affine span, so cap ladders around the span's normal directions are
-    added.
+    added.  A record's ``sym_dist`` is the larger of ``outer_dist``, images
+    to the hull, and ``inner_dist``, hull samples to the images.
     """
     if body_samples < 1:
         raise ValueError(f"body_samples: count must be >= 1, got {body_samples!r}")
     if is_nondegenerate(config):
         raise RequiresDegenerateError("configuration spans R^d; use theorem_sweep instead")
-    eps_list = _validate_epsilons(epsilons)
     span = _SpanHull(config)
     body = span.sample_body(body_samples, seed)
     dirs_global = sample(plan)
 
-    records = []
-    for eps in eps_list:
-        t0 = time.perf_counter()
-        caps = []
-        for j, w in enumerate(span.normal_basis):
-            for sgn, shift in ((1.0, 0), (-1.0, 1)):
-                caps.append(cap_directions(sgn * w, eps, COARSE_CAP_RADIUS,
-                                           plan.count, plan.count,
-                                           plan.seed + 11 + 2 * j + shift))
-        dirs = np.vstack([dirs_global] + caps)
-        images = evaluate_batch_array(config, eps, dirs)
-        d_img = float(span.distances_to_body(images).max())
-        d_body = float(_min_dists(body, images).max())
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(DegenerateRecord(epsilon=eps, sym_dist=max(d_img, d_body),
-                                        n_samples=dirs.shape[0], wall_ms=wall_ms))
-    return DegenerateReport(config_id=config_id, span_dim=span.k,
-                            extent=span.extent, records=tuple(records))
+    def sources(eps):
+        return [dirs_global] + [
+            cap_directions(sgn * w, eps, COARSE_CAP_RADIUS, plan.count, plan.count,
+                           plan.seed + 11 + 2 * j + shift)
+            for j, w in enumerate(span.normal_basis)
+            for sgn, shift in ((1.0, 0), (-1.0, 1))
+        ]
+
+    return DegenerateReport(config_id=config_id, span_dim=span.k, extent=span.extent,
+                            records=_probe(config, epsilons, sources,
+                                           span.distances_to_body, body))
 
 
 def _dist_to_limit_curve(pts: np.ndarray, half_width: float) -> np.ndarray:

@@ -220,8 +220,8 @@ def test_criterion_07_face_limits():
                 if f.dim == 1 and set(f.vertex_indices) == {1, 2}][0]
         rep = face_limit_probe(tri, tri_hull, edge.face_id, eps_list, 0.4, 3000, 5)
         last = rep.records[-1]
-        assert last.image_to_face < 0.05 * tri_hull.diameter
-        assert last.face_to_image < 0.05 * tri_hull.diameter
+        assert last.outer_dist < 0.05 * tri_hull.diameter
+        assert last.inner_dist < 0.05 * tri_hull.diameter
 
         # cube facet
         cube = build_configuration(
@@ -232,15 +232,15 @@ def test_criterion_07_face_limits():
                if np.allclose(f.outward_normal, [0, 0, 1])][0]
         rep3 = face_limit_probe(cube, cube_hull, top.face_id, eps_list, 0.3, 4000, 6)
         last3 = rep3.records[-1]
-        assert last3.image_to_face < 0.05 * cube_hull.diameter
-        assert last3.face_to_image < 0.05 * cube_hull.diameter
+        assert last3.outer_dist < 0.05 * cube_hull.diameter
+        assert last3.inner_dist < 0.05 * cube_hull.diameter
 
         # negative control: probe confined to one vertex's open cell
         vertex = [f for f in tri_hull.faces if f.vertex_indices == (1,)][0]
         neg = face_limit_probe(tri, tri_hull, edge.face_id, [1e-4], 0.2, 3000, 5,
                                center_face=vertex.face_id)
         edge_length = float(np.sqrt(2.0))
-        assert neg.records[0].face_to_image > 0.2 * edge_length
+        assert neg.records[0].inner_dist > 0.2 * edge_length
 
 
 def test_criterion_08_degenerate_remark():

@@ -211,6 +211,18 @@ def test_cmd_converge_degenerate(tmp_path):
     assert text.splitlines()[0] == "epsilon,sym_dist,n_samples,wall_ms"
 
 
+@pytest.mark.parametrize("count", ["0", "5"])
+def test_cmd_converge_degenerate_refuses_boundary_per_facet(tmp_path, capsys, count):
+    # the degenerate probe samples the span's body, not facet boundaries
+    src = tmp_path / "col.csv"
+    write_points_csv(src, [[0, 0], [1, 1], [2, 2]])
+    out = tmp_path / "deg.csv"
+    assert main(["converge", str(src), "--out", str(out), "--samples", "50",
+                 "--eps-list", "0.1", "--degenerate", "--boundary-per-facet", count]) == 2
+    assert "--boundary-per-facet does not apply to --degenerate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_converge_rejects_zero_eps(tmp_path, tri_csv):
     code = main(["converge", tri_csv, "--out", str(tmp_path / "x.csv"),
                  "--eps-list", "0.1,0"])

@@ -417,7 +417,7 @@ def test_face_limit_probe_on_two_face_in_d4():
     face = next(f for f in hull.faces if f.dim == 2)
     rep = face_limit_probe(config, hull, face.face_id, [1e-2], 0.3, 40, 1,
                            face_sample_count=50)
-    assert rep.records[0].n_probe > 0
+    assert rep.records[0].n_samples > 0
 
 
 def test_minimal_face_containing(cube_hull):

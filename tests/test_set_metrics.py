@@ -153,8 +153,8 @@ def test_face_limit_probe_triangle_edge(triangle, triangle_hull):
             if f.dim == 1 and set(f.vertex_indices) == {1, 2}][0]
     rep = face_limit_probe(triangle, triangle_hull, edge.face_id,
                            [1e-1, 1e-2, 1e-3, 1e-4], 0.4, 2000, 5)
-    img2face = [r.image_to_face for r in rep.records]
-    face2img = [r.face_to_image for r in rep.records]
+    img2face = [r.outer_dist for r in rep.records]
+    face2img = [r.inner_dist for r in rep.records]
     assert all(b < a for a, b in zip(img2face, img2face[1:]))
     assert img2face[-1] < 0.05 * triangle_hull.diameter
     assert face2img[-1] < 0.05 * triangle_hull.diameter
@@ -168,8 +168,8 @@ def test_face_limit_probe_negative_control(triangle, triangle_hull):
     rep = face_limit_probe(triangle, triangle_hull, edge.face_id, [1e-4], 0.2, 2000, 5,
                            center_face=vertex.face_id)
     edge_len = np.sqrt(2.0)
-    assert rep.records[0].face_to_image > 0.2 * edge_len
-    assert rep.records[0].image_to_face < 0.01
+    assert rep.records[0].inner_dist > 0.2 * edge_len
+    assert rep.records[0].outer_dist < 0.01
 
 
 def test_face_limit_probe_empty(triangle, triangle_hull):
@@ -255,6 +255,82 @@ def test_degenerate_probe_guard(triangle):
     plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=100)
     with pytest.raises(RequiresDegenerateError):
         degenerate_limit_probe(triangle, [1e-2], plan)
+
+
+@pytest.mark.parametrize("probe", ["sweep", "face", "degenerate"])
+def test_probes_map_each_eps_in_one_kernel_call(monkeypatch, tetrahedron, tetrahedron_hull,
+                                                probe):
+    """One kernel call per eps, through the module global, of n_samples rows."""
+    from hullmaps import set_metrics
+
+    rows = []
+
+    def counting_kernel(config, eps, dirs):
+        rows.append(len(dirs))
+        return evaluate_batch_array(config, eps, dirs)
+
+    monkeypatch.setattr(set_metrics, "evaluate_batch_array", counting_kernel)
+    eps_list = [1e-1, 1e-2, 1e-3]
+    plan = SamplePlan(dim=3, strategy="fibonacci_3d", count=200, seed=1)
+    if probe == "sweep":
+        records = theorem_sweep(tetrahedron, tetrahedron_hull, eps_list, plan, 10,
+                                cap_count_per_facet=50, ladder_cap_count=20).records
+    elif probe == "face":
+        edge = next(f for f in tetrahedron_hull.faces if f.dim == 1)
+        records = face_limit_probe(tetrahedron, tetrahedron_hull, edge.face_id, eps_list,
+                                   0.3, 100, 2, face_sample_count=50).records
+    else:
+        cfg = build_configuration([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+        records = degenerate_limit_probe(cfg, eps_list, plan, body_samples=50).records
+    assert [r.epsilon for r in records] == eps_list
+    assert rows == [r.n_samples for r in records]
+    for r in records:
+        assert r.sym_dist == max(r.outer_dist, r.inner_dist)
+
+
+# float.hex of each record's (outer_dist, inner_dist, n_samples), seeded
+# face probes on Gaussian points in R^3 (keyed by seed, n and the probed
+# face's dimension) with eps 1e-1, 1e-2, 1e-3
+FACE_PROBE_PINS = {
+    (11, 10, 1): [("0x1.4b8b269b7b636p-2", "0x1.e8f1066e3684ep-6", 1161),
+                  ("0x1.8ac3899710d1ap-4", "0x1.93d6c998cd580p-8", 1859),
+                  ("0x1.453c0c1bedae7p-6", "0x1.dd9acea4c857ap-9", 2357)],
+    (13, 9, 2): [("0x1.7fe9892f4e60ep-4", "0x1.bd34eb2e4cd47p-3", 1529),
+                 ("0x1.1000ac350cd0bp-6", "0x1.7a78435cf7419p-3", 3080),
+                 ("0x1.05f1037b03552p-9", "0x1.208ac632615fap-3", 4856)],
+}
+
+
+@pytest.mark.parametrize("seed, n, face_dim", sorted(FACE_PROBE_PINS))
+def test_face_limit_probe_records_pinned(seed, n, face_dim):
+    cfg = build_configuration(np.random.default_rng(seed).standard_normal((n, 3)))
+    hull = build_hull(cfg)
+    face = next(f for f in hull.faces if f.dim == face_dim)
+    rep = face_limit_probe(cfg, hull, face.face_id, [1e-1, 1e-2, 1e-3], 0.3, 200, seed,
+                           face_sample_count=100)
+    got = [(r.outer_dist.hex(), r.inner_dist.hex(), r.n_samples) for r in rep.records]
+    assert got == FACE_PROBE_PINS[seed, n, face_dim]
+
+
+# float.hex of each record's sym_dist, and n_samples, for a seeded planar
+# (k = 2) and collinear (k = 1) configuration in R^3, eps 1e-1, 1e-2, 1e-3
+DEGENERATE_PROBE_PINS = {
+    (21, 7, 2): [("0x1.767b092ac7b74p-2", 2600), ("0x1.0452f47adeb83p-2", 3800),
+                 ("0x1.04421ac272d46p-2", 4200)],
+    (22, 6, 1): [("0x1.03ceec28fa727p-2", 5000), ("0x1.0bc39ee65dfc7p-7", 7400),
+                 ("0x1.bec5b5c359e38p-8", 8200)],
+}
+
+
+@pytest.mark.parametrize("seed, n, k", sorted(DEGENERATE_PROBE_PINS))
+def test_degenerate_limit_probe_records_pinned(seed, n, k):
+    rng = np.random.default_rng(seed)
+    cfg = build_configuration(rng.standard_normal((n, k)) @ rng.standard_normal((k, 3)))
+    plan = SamplePlan(dim=3, strategy="gaussian_random", count=200, seed=seed)
+    rep = degenerate_limit_probe(cfg, [1e-1, 1e-2, 1e-3], plan, body_samples=100, seed=seed)
+    assert rep.span_dim == k
+    got = [(r.sym_dist.hex(), r.n_samples) for r in rep.records]
+    assert got == DEGENERATE_PROBE_PINS[seed, n, k]
 
 
 def test_graph_demo_hand_value():
