@@ -217,8 +217,7 @@ def write_svg(path, config, hull, images) -> None:
     pts = config.points
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    margin = 0.10 * float(span.max())
+    margin = 0.10 * float((hi - lo).max())
     lo = lo - margin
     hi = hi + margin
     size = 800.0

@@ -499,10 +499,14 @@ def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
 
 
 def minimal_face_containing(hull: HullDescription, x, tol: float | None = None):
-    """The smallest face whose polytope contains x, or None if x is off-boundary."""
+    """The smallest face whose polytope contains x, or None if x is off-boundary.
+
+    The face is cut out by the facets within ``tol`` of x (default the hull's
+    ``coplanarity_tol``, which scales with the points).
+    """
     x = np.asarray(x, dtype=float)
     if tol is None:
-        tol = 1e-7 * (1.0 + hull.diameter)
+        tol = hull.coplanarity_tol
     dists = [distances_to_face(hull, f.face_id, x)[0] for f in hull.facets]
     return _face_within(hull, np.array(dists), tol)
 
@@ -569,16 +573,26 @@ def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.
         return w @ verts
     origin, basis = hull._face_basis(face_id)
     local = (verts - origin) @ basis.T
-    lo, hi = local.min(axis=0), local.max(axis=0)
+    return _box_samples(hull, origin, basis, local.min(axis=0), local.max(axis=0), count, rng,
+                        f"face {face_id}")
+
+
+def _box_samples(hull: HullDescription, origin: np.ndarray, basis: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray, count: int, rng, what: str) -> np.ndarray:
+    """``count`` uniform samples of the hull inside the box ``[lo, hi]`` of
+    the frame ``origin + basis.T @ c``, by rejection with ``_in_hull``.
+
+    Draws one box point at a time; raises SamplingExhaustedError, naming
+    ``what``, after ``MAX_TRIES_PER_SAMPLE`` tries per requested sample.
+    """
     out = np.empty((count, hull.dim))
     filled = tries = 0
     while filled < count:
         if tries == MAX_TRIES_PER_SAMPLE * count:
             raise SamplingExhaustedError(
-                f"face {face_id}: {filled} of {count} samples after {tries} tries")
+                f"{what}: {filled} of {count} samples after {tries} tries")
         tries += 1
-        cand = lo + (hi - lo) * rng.random(face.dim)
-        q = origin + basis.T @ cand
+        q = origin + basis.T @ (lo + (hi - lo) * rng.random(lo.size))
         if _in_hull(hull, q):
             out[filled] = q
             filled += 1

@@ -24,14 +24,15 @@ from .errors import (
     EmptyProbeError,
     EmptySetError,
     RequiresDegenerateError,
-    SamplingExhaustedError,
 )
-from .geom_core import (DEFAULT_RANK_TOL, MAX_TRIES_PER_SAMPLE, PointConfiguration,
-                        build_configuration, is_nondegenerate)
+from .geom_core import (DEFAULT_RANK_TOL, PointConfiguration, build_configuration,
+                        is_nondegenerate)
 from .hull_oracle import (
     HullDescription,
+    _box_samples,
     _fan_samples,
     _faces_below,
+    _in_hull,
     build_hull,
     classify_directions_bulk,
     distances_to_boundary,
@@ -413,70 +414,20 @@ def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id:
         face_pts))
 
 
-class _SpanHull:
-    """Hull of a degenerate configuration inside its affine span."""
+def _span_hull(config: PointConfiguration) -> tuple:
+    """(mean, span, normals, hull) of a configuration inside its affine span.
 
-    def __init__(self, config: PointConfiguration):
-        pts = config.points
-        mean = pts.mean(axis=0)
-        centered = pts - mean
-        _, sv, vh = np.linalg.svd(centered, full_matrices=True)
-        rank = int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
-        self.mean = mean
-        self.span = vh[:rank]          # (k, d)
-        self.normal_basis = vh[rank:]  # (d-k, d)
-        self.k = rank
-        self.local = centered @ self.span.T
-        if rank == 1:
-            t = self.local[:, 0]
-            self.lo, self.hi = float(t.min()), float(t.max())
-            self.local_hull = None
-            self.extent = self.hi - self.lo
-        else:
-            local_config = build_configuration(self.local)
-            self.local_hull = build_hull(local_config)
-            self.extent = local_config.diameter
-
-    def distances_to_body(self, pts_ambient: np.ndarray) -> np.ndarray:
-        rel = pts_ambient - self.mean
-        local = rel @ self.span.T
-        off = rel - local @ self.span
-        off_dist = np.linalg.norm(off, axis=1)
-        if self.k == 1:
-            t = local[:, 0]
-            inplane = np.maximum(0.0, np.maximum(self.lo - t, t - self.hi))
-        else:
-            inside = np.ones(local.shape[0], dtype=bool)
-            for f in self.local_hull.facets:
-                inside &= local @ f.outward_normal <= f.offset + self.local_hull.coplanarity_tol
-            inplane = np.zeros(local.shape[0])
-            if not np.all(inside):
-                inplane[~inside] = distances_to_boundary(self.local_hull, local[~inside])
-        return np.sqrt(off_dist ** 2 + inplane ** 2)
-
-    def sample_body(self, count: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        if self.k == 1:
-            t = self.lo + (self.hi - self.lo) * rng.random(count)
-            local = t[:, None]
-        elif self.k == 2:
-            verts = self.local_hull.config.points[list(self.local_hull.vertices)]
-            local = _fan_samples(verts, verts, count, rng)
-        else:
-            lo = self.local.min(axis=0)
-            hi = self.local.max(axis=0)
-            out = []
-            tries = 0
-            while len(out) < count:
-                if tries == MAX_TRIES_PER_SAMPLE * count:
-                    raise SamplingExhaustedError(
-                        f"{len(out)} of {count} body samples after {tries} tries")
-                tries += 1
-                cand = lo + (hi - lo) * rng.random(self.k)
-                if self.distances_to_body((self.mean + cand @ self.span)[None, :])[0] < 1e-9:
-                    out.append(cand)
-            local = np.asarray(out)
-        return self.mean + local @ self.span
+    The rows of ``span`` and ``normals`` are orthonormal bases of the span's
+    direction space and of its complement, from the SVD of the centred
+    points (rank rule ``DEFAULT_RANK_TOL``).  ``hull`` is the hull of the
+    points in span coordinates, ``(x - mean) @ span.T``.
+    """
+    pts = config.points
+    mean = pts.mean(axis=0)
+    centered = pts - mean
+    _, sv, vh = np.linalg.svd(centered, full_matrices=True)
+    k = int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
+    return mean, vh[:k], vh[k:], build_hull(build_configuration(centered @ vh[:k].T))
 
 
 def degenerate_limit_probe(config: PointConfiguration, epsilons, plan: SamplePlan,
@@ -487,28 +438,49 @@ def degenerate_limit_probe(config: PointConfiguration, epsilons, plan: SamplePla
     Images of a degenerate configuration stay inside the lower-dimensional
     hull; coverage of its interior comes from directions nearly orthogonal to
     the affine span, so cap ladders around the span's normal directions are
-    added.  A record's ``sym_dist`` is the larger of ``outer_dist``, images
-    to the hull, and ``inner_dist``, hull samples to the images.
+    added.  The hull is built in coordinates of the affine span, with its own
+    relative ``coplanarity_tol``; its body is sampled with the polygon fan
+    for a span of dimension 2 and by box rejection otherwise.  A record's
+    ``sym_dist`` is the larger of ``outer_dist``, images to the hull, and
+    ``inner_dist``, hull samples to the images.
     """
     if body_samples < 1:
         raise ValueError(f"body_samples: count must be >= 1, got {body_samples!r}")
     if is_nondegenerate(config):
         raise RequiresDegenerateError("configuration spans R^d; use theorem_sweep instead")
-    span = _SpanHull(config)
-    body = span.sample_body(body_samples, seed)
+    mean, span, normals, hull = _span_hull(config)
+    rng = np.random.default_rng(seed)
+    local = hull.config.points
+    if hull.dim == 2:
+        verts = local[list(hull.vertices)]
+        body = _fan_samples(verts, verts, body_samples, rng)
+    else:
+        body = _box_samples(hull, np.zeros(hull.dim), np.eye(hull.dim), local.min(axis=0),
+                            local.max(axis=0), body_samples, rng, "span body")
     dirs_global = sample(plan)
 
     def sources(eps):
         return [dirs_global] + [
             cap_directions(sgn * w, eps, COARSE_CAP_RADIUS, plan.count, plan.count,
                            plan.seed + 11 + 2 * j + shift)
-            for j, w in enumerate(span.normal_basis)
+            for j, w in enumerate(normals)
             for sgn, shift in ((1.0, 0), (-1.0, 1))
         ]
 
-    return DegenerateReport(config_id=config_id, span_dim=span.k, extent=span.extent,
-                            records=_probe(config, epsilons, sources,
-                                           span.distances_to_body, body))
+    def to_body(images):
+        # distance to the span combined with the in-span distance to the hull
+        # (0 where the slack test holds)
+        rel = images - mean
+        in_span = rel @ span.T
+        off = np.linalg.norm(rel - in_span @ span, axis=1)
+        outside = ~_in_hull(hull, in_span)
+        inplane = np.zeros(len(images))
+        inplane[outside] = distances_to_boundary(hull, in_span[outside])
+        return np.sqrt(off ** 2 + inplane ** 2)
+
+    return DegenerateReport(config_id=config_id, span_dim=hull.dim, extent=hull.diameter,
+                            records=_probe(config, epsilons, sources, to_body,
+                                           mean + body @ span))
 
 
 def _dist_to_limit_curve(pts: np.ndarray, half_width: float) -> np.ndarray:

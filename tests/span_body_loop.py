@@ -1,5 +1,5 @@
-"""The 2-D span body sampler as it was written inside
-``set_metrics._SpanHull.sample_body``: the differential oracle for its k = 2
+"""The 2-D span body sampler as it was first written for
+``set_metrics.degenerate_limit_probe``: the differential oracle for its k = 2
 branch, which now calls ``hull_oracle._fan_samples``.
 
 Orders the polygon's vertices, fans them into triangles and takes each

@@ -19,6 +19,7 @@ from hullmaps.fileio import (
     write_obj_mesh,
     write_obj_points,
     write_points_csv,
+    write_svg,
 )
 from hullmaps.normal_fan_dual import dual_combinatorics_check, flattened_spherical_dual
 
@@ -99,6 +100,18 @@ def test_cmd_approx_writes_images_and_svg(tmp_path, tri_csv):
     assert images.shape == (500, 2)
     svg = (tmp_path / "img.svg").read_text()
     assert svg.startswith("<svg") and "polygon" in svg and "circle" in svg
+
+
+def test_svg_frame_scales_with_the_points(tmp_path):
+    """The triangle fills the same frame at scale 1e-12 as at scale 1."""
+    circles = []
+    for scale in (1.0, 1e-12):
+        config = build_configuration(scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        path = tmp_path / f"tri_{scale}.svg"
+        write_svg(path, config, build_hull(config), None)
+        circles.append([ln for ln in path.read_text().splitlines() if ln.startswith("<circle")])
+    assert len(circles[0]) == 3
+    assert circles[0] == circles[1]
 
 
 def test_cmd_approx_obj_render(tmp_path, cube_csv):

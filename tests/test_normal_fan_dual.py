@@ -107,6 +107,17 @@ def test_gauss_map_rejects_off_boundary(square_hull):
         gauss_map(square_hull, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_gauss_map_facet_cell_at_every_scale(scale):
+    """The tolerance scales with the hull: a facet's centroid maps to the
+    facet's cell whatever the size of the cube."""
+    hull = build_hull(build_configuration(scale * _cube(3)))
+    facet = max(hull.facets, key=lambda f: f.outward_normal[2])
+    g = gauss_map(hull, hull.face_points(facet.face_id).mean(axis=0))
+    assert (g.face_id, g.cell_dim) == (facet.face_id, 0)
+    assert np.array_equal(g.vertex_dirs, facet.outward_normal[None, :])
+
+
 @pytest.mark.parametrize("d, n, seed", [(3, 12, 0), (3, 40, 0), (4, 9, 1), (4, 11, 2)])
 def test_gauss_map_matches_one_point_queries(monkeypatch, d, n, seed):
     """gauss_map equals distances_to_boundary + minimal_face_containing, and
@@ -115,7 +126,7 @@ def test_gauss_map_matches_one_point_queries(monkeypatch, d, n, seed):
 
     hull = build_hull(random_configuration(np.random.default_rng(seed), n, d))
     pts, _ = sample_boundary(hull, 1, seed=seed)
-    tol = 1e-7 * (1.0 + hull.diameter)
+    tol = hull.coplanarity_tol
     by_id = {f.face_id: f for f in hull.facets}
     expected = []
     for x in pts:

@@ -207,36 +207,64 @@ def test_degenerate_probe_coplanar():
     assert rep.records[-1].sym_dist < 0.05 * rep.extent
 
 
+_CUBE_IN_R4 = [[x, y, z, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
+
+
+def _body_samples(monkeypatch, cfg, body_samples, seed=7):
+    """The hull samples ``degenerate_limit_probe`` measures its images against."""
+    from hullmaps import set_metrics
+
+    got = []
+    probe = set_metrics._probe
+    monkeypatch.setattr(set_metrics, "_probe", lambda *args: got.append(args[4]) or probe(*args))
+    plan = SamplePlan(dim=cfg.dim, strategy="gaussian_random", count=50, seed=1)
+    rep = degenerate_limit_probe(cfg, [1e-1], plan, body_samples=body_samples, seed=seed)
+    return rep, got[0]
+
+
 def test_span_body_rejection_sampler_is_bounded(monkeypatch):
     """A 3-cube inside R^4 spans k = 3, sampled by rejection; a membership
     check that rejects everything raises a typed error instead of looping on."""
-    from hullmaps.set_metrics import _SpanHull
+    from hullmaps import hull_oracle
 
-    cube = [[x, y, z, 0.0] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
-    span = _SpanHull(build_configuration(cube))
-    assert span.k == 3
-    body = span.sample_body(5, seed=0)
+    cfg = build_configuration(_CUBE_IN_R4)
+    rep, body = _body_samples(monkeypatch, cfg, 5, seed=0)
+    assert rep.span_dim == 3
     assert np.all(np.abs(body) <= 1.0 + 1e-12)
-    monkeypatch.setattr(_SpanHull, "distances_to_body", lambda self, pts: np.ones(len(pts)))
+    monkeypatch.setattr(hull_oracle, "_in_hull", lambda hull, q: False)
     with pytest.raises(SamplingExhaustedError):
-        span.sample_body(5, seed=0)
+        _body_samples(monkeypatch, cfg, 5, seed=0)
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e9])
+def test_span_body_samples_lie_in_the_hull_at_every_scale(monkeypatch, scale):
+    """Body samples of the 3-cube in R^4 lie in the cube within the hull's
+    relative tolerance, and the inner distance keeps its share of the extent."""
+    cube = scale * np.asarray(_CUBE_IN_R4)
+    tol = build_hull(build_configuration(cube[:, :3])).coplanarity_tol
+    rep, body = _body_samples(monkeypatch, build_configuration(cube), 200)
+    assert rep.span_dim == 3
+    assert np.all(np.abs(body[:, :3]) <= scale + tol)
+    assert np.all(np.abs(body[:, 3]) <= tol)
+    assert rep.records[0].inner_dist < 0.15 * rep.extent
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_span_polygon_body_matches_loop(seed):
+def test_span_polygon_body_matches_loop(monkeypatch, seed):
     """The k = 2 body goes through the 2-face sampler's fan, bitwise as before."""
-    from hullmaps.set_metrics import _SpanHull
+    from hullmaps.set_metrics import _span_hull
     from tests.span_body_loop import sample_polygon_body
 
     rng = np.random.default_rng(seed)
     spans = [np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.3, 0.6, 0]], float),
              rng.standard_normal((12, 2)) @ rng.standard_normal((2, 4))]
     for points in spans:
-        span = _SpanHull(build_configuration(points))
-        assert span.k == 2
+        cfg = build_configuration(points)
+        mean, span, _, hull = _span_hull(cfg)
+        assert hull.dim == 2
         for count in (1, 7, 500):
-            want = span.mean + sample_polygon_body(span.local_hull, count, seed) @ span.span
-            assert span.sample_body(count, seed).tobytes() == want.tobytes()
+            want = mean + sample_polygon_body(hull, count, seed) @ span
+            assert _body_samples(monkeypatch, cfg, count, seed)[1].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("points,dim", [
@@ -312,21 +340,28 @@ def test_face_limit_probe_records_pinned(seed, n, face_dim):
     assert got == FACE_PROBE_PINS[seed, n, face_dim]
 
 
-# float.hex of each record's sym_dist, and n_samples, for a seeded planar
-# (k = 2) and collinear (k = 1) configuration in R^3, eps 1e-1, 1e-2, 1e-3
+# float.hex of each record's sym_dist, and n_samples, for seeded
+# configurations spanning k dimensions in R^max(3, k + 1): planar (k = 2) and
+# collinear (k = 1) in R^3, and k = 3 in R^4 and k = 4 in R^5, whose bodies
+# are sampled by rejection; eps 1e-1, 1e-2, 1e-3
 DEGENERATE_PROBE_PINS = {
     (21, 7, 2): [("0x1.767b092ac7b74p-2", 2600), ("0x1.0452f47adeb83p-2", 3800),
                  ("0x1.04421ac272d46p-2", 4200)],
     (22, 6, 1): [("0x1.03ceec28fa727p-2", 5000), ("0x1.0bc39ee65dfc7p-7", 7400),
                  ("0x1.bec5b5c359e38p-8", 8200)],
+    (23, 8, 3): [("0x1.6b089c525225cp-2", 2600), ("0x1.8e3914b8bb582p-2", 3800),
+                 ("0x1.8e3e120c03b07p-2", 4200)],
+    (24, 9, 4): [("0x1.cfdadad01c53fp-1", 2600), ("0x1.ec57e3060d357p-1", 3800),
+                 ("0x1.ec59f56754e89p-1", 4200)],
 }
 
 
 @pytest.mark.parametrize("seed, n, k", sorted(DEGENERATE_PROBE_PINS))
 def test_degenerate_limit_probe_records_pinned(seed, n, k):
+    d = max(3, k + 1)
     rng = np.random.default_rng(seed)
-    cfg = build_configuration(rng.standard_normal((n, k)) @ rng.standard_normal((k, 3)))
-    plan = SamplePlan(dim=3, strategy="gaussian_random", count=200, seed=seed)
+    cfg = build_configuration(rng.standard_normal((n, k)) @ rng.standard_normal((k, d)))
+    plan = SamplePlan(dim=d, strategy="gaussian_random", count=200, seed=seed)
     rep = degenerate_limit_probe(cfg, [1e-1, 1e-2, 1e-3], plan, body_samples=100, seed=seed)
     assert rep.span_dim == k
     got = [(r.sym_dist.hex(), r.n_samples) for r in rep.records]
