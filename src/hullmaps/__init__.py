@@ -50,7 +50,6 @@ from .hull_oracle import (
     minimal_face_containing,
     sample_boundary,
     sample_face_points,
-    support_margin,
 )
 from .normal_fan_dual import (
     DualCheckResult,

@@ -66,7 +66,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     if args.render == "svg":
         fileio.write_svg(_with_suffix(args.out, ".svg"), config, hull, images)
     elif args.render == "obj":
-        fileio.write_obj_points(_with_suffix(args.out, ".obj"), images)
+        fileio.write_obj_mesh(_with_suffix(args.out, ".obj"), images, ())
     print(f"wrote {images.shape[0]} image points to {args.out}")
     return EXIT_OK
 

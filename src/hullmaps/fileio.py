@@ -22,16 +22,6 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_obj_points(path, points) -> None:
-    """OBJ point cloud: one ``v`` line per point (padded to 3 coordinates)."""
-    write_obj_mesh(path, points, ())
-
-
-def read_obj_points(path) -> np.ndarray:
-    """The ``v`` rows of an OBJ file; its ``f`` lines are ignored."""
-    return read_obj_mesh(path)[0]
-
-
 def write_obj_mesh(path, vertices, cells) -> None:
     """OBJ mesh: ``v`` lines plus one (1-based) ``f`` line per cell."""
     pts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -45,6 +35,7 @@ def write_obj_mesh(path, vertices, cells) -> None:
 
 
 def read_obj_mesh(path):
+    """(vertices, cells) of an OBJ file: the ``v`` rows and the 0-based ``f`` lines."""
     verts, cells = [], []
     with open(path) as fh:
         for ln in fh:

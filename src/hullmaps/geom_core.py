@@ -19,29 +19,26 @@ DEFAULT_RANK_TOL = 1e-9
 def unit_vector(coords) -> np.ndarray:
     """Validate and return a unit direction as a float vector.
 
-    Raises ValueError if the Euclidean norm differs from 1 by more than
-    ``UNIT_NORM_TOL`` or is not finite.
+    Raises DimensionMismatchError unless ``coords`` is one vector, then
+    ValueError as :func:`unit_directions` does.
     """
     v = np.ascontiguousarray(coords, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError("a direction must be a single coordinate vector")
-    nrm = float(np.linalg.norm(v))
-    if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # also rejects a NaN norm
-        raise ValueError(f"direction has norm {nrm!r}, not 1 within {UNIT_NORM_TOL}")
-    return v
+    return unit_directions(v, v.shape[0])[0]
 
 
 def unit_direction(coords, dim: int) -> np.ndarray:
     """:func:`unit_vector` of a direction in R^dim.
 
     Raises DimensionMismatchError unless ``coords`` is one vector of ``dim``
-    components, then ValueError as :func:`unit_vector` does.
+    components, then ValueError as :func:`unit_directions` does.
     """
     v = np.ascontiguousarray(coords, dtype=float)
     if v.shape != (dim,):
         raise DimensionMismatchError(
             f"a direction in R^{dim} must have shape ({dim},), got {v.shape}")
-    return unit_vector(v)
+    return unit_directions(v, dim)[0]
 
 
 def unit_directions(dirs, dim: int) -> np.ndarray:
@@ -49,6 +46,8 @@ def unit_directions(dirs, dim: int) -> np.ndarray:
 
     Raises DimensionMismatchError for any other shape, and ValueError when a
     row's norm differs from 1 by more than ``UNIT_NORM_TOL`` or is not finite.
+    This is the one unit-norm check: :func:`unit_vector` and
+    :func:`unit_direction` return its row for their one direction.
     """
     arr = np.ascontiguousarray(dirs, dtype=float)
     if arr.ndim == 1:
@@ -56,11 +55,12 @@ def unit_directions(dirs, dim: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DimensionMismatchError(f"directions in R^{dim} must have shape (N, {dim}), "
                                      f"got {np.shape(dirs)}")
-    if arr.size:
+    if len(arr):
         nrm = np.linalg.norm(arr, axis=1)
         worst = float(np.abs(nrm - 1.0).max())
         if not worst <= UNIT_NORM_TOL:  # also rejects NaN rows
-            raise ValueError(f"directions must be unit vectors (worst norm error {worst:g})")
+            raise ValueError(f"direction norm is not 1 within {UNIT_NORM_TOL} "
+                             f"(worst error {worst:g})")
     return arr
 
 
@@ -214,14 +214,18 @@ def build_configuration(raw_points, distinctness_tol: float | None = None) -> Po
     return PointConfiguration(np.vstack(rows), distinctness_tol)
 
 
+def _affine_rank(pts: np.ndarray) -> int:
+    """Affine rank of two or more points (rows): the number of singular values
+    of their differences from the first point above ``DEFAULT_RANK_TOL`` x the
+    largest.  The hull build and the degenerate probe both take the rank from
+    here, so a set the one calls degenerate the other does too."""
+    sv = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
+    return int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
+
+
 def is_nondegenerate(config: PointConfiguration) -> bool:
     """True iff the points affinely span R^d (relative singular-value test)."""
-    diffs = config.points[1:] - config.points[0]
-    sv = np.linalg.svd(diffs, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return False
-    rank = int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
-    return rank == config.dim
+    return _affine_rank(config.points) == config.dim
 
 
 def write_points_csv(path, points) -> None:

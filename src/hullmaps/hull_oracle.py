@@ -350,32 +350,37 @@ def _tie_tol(hull: HullDescription, tie_tol: float | None) -> float:
     return tol
 
 
+def _support_ties(hull: HullDescription, dirs: np.ndarray, tie_tol: float | None):
+    """(tie mask, tie tolerance) for checked unit direction rows: ``mask[k, i]``
+    is True where point i's support value ``<x_i, dirs[k]>`` lies within the
+    tolerance (:func:`_tie_tol`) of row k's largest.
+
+    The support values are one ``np.einsum`` against the points' coordinate
+    columns.  It calls no BLAS and sums each dot as ``0 + u_0 x_0 + u_1 x_1 +
+    ...`` in coordinate order, as the weight kernel's dots do, so a row's mask
+    is the same alone and in any batch; a matrix product picks its BLAS kernel
+    by row count and rounds the same row differently.
+    """
+    tol = _tie_tol(hull, tie_tol)
+    s = np.einsum("kc,ci->ki", dirs, np.ascontiguousarray(hull.config.points.T))
+    return s >= s.max(axis=1)[:, None] - tol, tol
+
+
 def classify_direction(hull: HullDescription, n, tie_tol: float | None = None) -> Face:
     """The unique face whose normal spherical polytope interior contains n.
 
-    Computed as the face spanned by the support-function argmax within
-    tie_tol.  Raises AmbiguousTieError if the maximizing set is not the
-    point set of a face, and ValueError for a tie_tol that is not finite or
-    is negative.
+    The one-row case of :func:`classify_directions_bulk`: the face spanned by
+    the support-function argmax within tie_tol.  Raises AmbiguousTieError if
+    the maximizing set is not the point set of a face, and ValueError for a
+    tie_tol that is not finite or is negative.
     """
-    d = unit_direction(n, hull.config.dim)
-    tie_tol = _tie_tol(hull, tie_tol)
-    s = hull.config.points @ d
-    top = float(s.max())
-    arg = np.flatnonzero(s >= top - tie_tol)
-    face = hull.face_by_points(arg.tolist())
+    mask, tie_tol = _support_ties(hull, unit_direction(n, hull.config.dim)[None], tie_tol)
+    arg = np.flatnonzero(mask[0]).tolist()
+    face = hull.face_by_points(arg)
     if face is None:
         raise AmbiguousTieError(
-            f"maximizing set {sorted(arg.tolist())} is not a face (tie_tol={tie_tol:g})",
-            candidates=sorted(arg.tolist()),
-        )
+            f"maximizing set {arg} is not a face (tie_tol={tie_tol:g})", candidates=arg)
     return face
-
-
-def support_margin(hull: HullDescription, n) -> float:
-    """Gap between the two largest support values for a direction."""
-    s = np.sort(hull.config.points @ unit_direction(n, hull.config.dim))
-    return float(s[-1] - s[-2])
 
 
 def classify_directions_bulk(hull: HullDescription, dirs, tie_tol: float | None = None) -> np.ndarray:
@@ -383,18 +388,15 @@ def classify_directions_bulk(hull: HullDescription, dirs, tie_tol: float | None 
 
     Returns the face id per direction, or -1 where the maximizing set is not
     a face (the ambiguous-tie case surfaced as an error by the scalar path).
-    Raises DimensionMismatchError for rows of another length than the
-    points, and ValueError for a row that is not a unit vector or a tie_tol
-    that is not finite or is negative.
+    A direction gets the same result alone and in any batch.  Raises
+    DimensionMismatchError for rows of another length than the points, and
+    ValueError for a row that is not a unit vector or a tie_tol that is not
+    finite or is negative.
     """
-    arr = unit_directions(dirs, hull.config.dim)
-    tie_tol = _tie_tol(hull, tie_tol)
-    s = arr @ hull.config.points.T
-    top = s.max(axis=1)
-    mask = s >= (top[:, None] - tie_tol)
-    out = np.empty(arr.shape[0], dtype=int)
+    mask, _ = _support_ties(hull, unit_directions(dirs, hull.config.dim), tie_tol)
+    out = np.empty(mask.shape[0], dtype=int)
     cache = {}
-    for k in range(arr.shape[0]):
+    for k in range(mask.shape[0]):
         key = mask[k].tobytes()
         fid = cache.get(key)
         if fid is None:
@@ -507,13 +509,7 @@ def minimal_face_containing(hull: HullDescription, x, tol: float | None = None):
     x = np.asarray(x, dtype=float)
     if tol is None:
         tol = hull.coplanarity_tol
-    dists = [distances_to_face(hull, f.face_id, x)[0] for f in hull.facets]
-    return _face_within(hull, np.array(dists), tol)
-
-
-def _face_within(hull: HullDescription, facet_dists: np.ndarray, tol: float):
-    """The face cut out by the facets within tol of a point, or None if none is."""
-    member = [f for f, dist in zip(hull.facets, facet_dists) if dist <= tol]
+    member = [f for f in hull.facets if distances_to_face(hull, f.face_id, x)[0] <= tol]
     if not member:
         return None
     inter = frozenset(member[0].vertex_indices)

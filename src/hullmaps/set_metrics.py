@@ -25,8 +25,7 @@ from .errors import (
     EmptySetError,
     RequiresDegenerateError,
 )
-from .geom_core import (DEFAULT_RANK_TOL, PointConfiguration, build_configuration,
-                        is_nondegenerate)
+from .geom_core import PointConfiguration, _affine_rank, build_configuration
 from .hull_oracle import (
     HullDescription,
     _box_samples,
@@ -417,16 +416,20 @@ def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id:
 def _span_hull(config: PointConfiguration) -> tuple:
     """(mean, span, normals, hull) of a configuration inside its affine span.
 
-    The rows of ``span`` and ``normals`` are orthonormal bases of the span's
-    direction space and of its complement, from the SVD of the centred
-    points (rank rule ``DEFAULT_RANK_TOL``).  ``hull`` is the hull of the
-    points in span coordinates, ``(x - mean) @ span.T``.
+    The span's dimension k is the affine rank the hull build tests
+    (``geom_core._affine_rank``); the rows of ``span`` and ``normals`` are
+    orthonormal bases of its direction space and of its complement, from the
+    SVD of the centred points.  ``hull`` is the hull of the points in span
+    coordinates, ``(x - mean) @ span.T``.  Raises RequiresDegenerateError
+    when k = d.
     """
     pts = config.points
+    k = _affine_rank(pts)
+    if k == config.dim:
+        raise RequiresDegenerateError("configuration spans R^d; use theorem_sweep instead")
     mean = pts.mean(axis=0)
     centered = pts - mean
-    _, sv, vh = np.linalg.svd(centered, full_matrices=True)
-    k = int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
+    _, _, vh = np.linalg.svd(centered, full_matrices=True)
     return mean, vh[:k], vh[k:], build_hull(build_configuration(centered @ vh[:k].T))
 
 
@@ -446,8 +449,6 @@ def degenerate_limit_probe(config: PointConfiguration, epsilons, plan: SamplePla
     """
     if body_samples < 1:
         raise ValueError(f"body_samples: count must be >= 1, got {body_samples!r}")
-    if is_nondegenerate(config):
-        raise RequiresDegenerateError("configuration spans R^d; use theorem_sweep instead")
     mean, span, normals, hull = _span_hull(config)
     rng = np.random.default_rng(seed)
     local = hull.config.points

@@ -14,7 +14,6 @@ from hullmaps import (
     evaluate_batch_array,
     in_normal_spherical_polytope,
     limit_factor,
-    support_margin,
     weights_batch_array,
 )
 from tests.conftest import random_configuration
@@ -130,7 +129,6 @@ _DIRECTION_TAKERS = {
     "limit_factor": lambda cfg, hull, u: limit_factor(cfg, 0, u),
     "in_normal_spherical_polytope": lambda cfg, hull, u: in_normal_spherical_polytope(cfg, 0, u),
     "classify_direction": lambda cfg, hull, u: classify_direction(hull, u),
-    "support_margin": lambda cfg, hull, u: support_margin(hull, u),
     "classify_directions_bulk": lambda cfg, hull, u: classify_directions_bulk(hull, u),
     "evaluate_batch_array": lambda cfg, hull, u: evaluate_batch_array(cfg, 0.1, u),
     "weights_batch_array": lambda cfg, hull, u: weights_batch_array(cfg, 0.1, u),

@@ -11,13 +11,11 @@ from hullmaps.fileio import (
     read_dual_descriptor,
     read_hull_document,
     read_obj_mesh,
-    read_obj_points,
     read_points_csv,
     read_report_csv,
     write_dual_descriptor,
     write_hull_document,
     write_obj_mesh,
-    write_obj_points,
     write_points_csv,
     write_svg,
 )
@@ -42,8 +40,8 @@ def test_obj_points_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((40, 3))
     path = tmp_path / "cloud.obj"
-    write_obj_points(path, pts)
-    back = read_obj_points(path)
+    write_obj_mesh(path, pts, ())
+    back = read_obj_mesh(path)[0]
     assert np.array_equal(back, pts)
 
 
@@ -119,7 +117,7 @@ def test_cmd_approx_obj_render(tmp_path, cube_csv):
     code = main(["approx", cube_csv, "--out", out, "--eps", "0.01",
                  "--samples", "300", "--render", "obj"])
     assert code == 0
-    cloud = read_obj_points(str(tmp_path / "img.obj"))
+    cloud = read_obj_mesh(str(tmp_path / "img.obj"))[0]
     assert cloud.shape == (300, 3)
 
 

@@ -25,7 +25,6 @@ from hullmaps import (
     minimal_face_containing,
     sample_boundary,
     sample_face_points,
-    support_margin,
     write_points_csv,
 )
 from tests.brute_force_hull import assert_same_hull, brute_force_hull
@@ -218,6 +217,26 @@ def test_zero_tie_tolerance_classifies(square_hull):
     assert classify_directions_bulk(square_hull, [n], tie_tol=0.0).tolist() == [face.face_id]
 
 
+def test_direction_classifies_alone_as_in_any_batch():
+    """At a tie tolerance of each direction's own top-two support gap, where
+    the last bits of the support values decide, a direction gets the same
+    face, or the same ambiguous tie, alone, as a one-row batch and inside a
+    two-row batch."""
+    rng = np.random.default_rng(3)
+    cfg = build_configuration(rng.standard_normal((12, 3)))
+    hull = build_hull(cfg)
+    dirs = rng.standard_normal((4000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    top2 = np.sort(dirs @ cfg.points.T, axis=1)[:, -2:]
+    for k, gap in enumerate(top2[:, 1] - top2[:, 0]):
+        try:
+            alone = classify_direction(hull, dirs[k], gap).face_id
+        except AmbiguousTieError:
+            alone = -1
+        assert classify_directions_bulk(hull, dirs[k:k + 1], gap)[0] == alone
+        assert classify_directions_bulk(hull, dirs[[k, k - 1]], gap)[0] == alone
+
+
 def test_in_nsp_examples(triangle):
     assert in_normal_spherical_polytope(triangle, 0, DIAG, strict=True)
     assert not in_normal_spherical_polytope(triangle, 0, [1.0, 0.0])
@@ -242,7 +261,8 @@ def test_oracle_equivalence_random():
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         ids = classify_directions_bulk(hull, dirs)
         for v, fid in zip(dirs, ids):
-            if support_margin(hull, v) <= 1e-8:
+            s = np.sort(cfg.points @ v)  # the top two support values' gap
+            if s[-1] - s[-2] <= 1e-8:
                 continue
             face = hull.faces[fid]
             assert face.dim == 0

@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from hullmaps import (
+    DegenerateConfigurationError,
     EmptyProbeError,
     EmptySetError,
     RequiresDegenerateError,
@@ -283,6 +284,21 @@ def test_degenerate_probe_guard(triangle):
     plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=100)
     with pytest.raises(RequiresDegenerateError):
         degenerate_limit_probe(triangle, [1e-2], plan)
+
+
+def test_degenerate_probe_takes_the_hull_builds_rank():
+    """Ten points 2.5e-9 x N(0, 1) off a plane: the relative smallest singular
+    value is 6.2e-10 for the differences to the first point, the hull build's
+    rule, and 1.6e-9 for the centred points.  The build refuses the set as
+    flat, so the probe must take it as a 2-D span, not build a 3-D hull."""
+    rng = np.random.default_rng(13)
+    xy, z = rng.standard_normal((10, 2)), rng.standard_normal(10)
+    cfg = build_configuration(np.column_stack([xy, 2.5e-9 * z]))
+    with pytest.raises(DegenerateConfigurationError, match="proper affine subspace"):
+        build_hull(cfg)
+    plan = SamplePlan(dim=3, strategy="fibonacci_3d", count=200, seed=2)
+    rep = degenerate_limit_probe(cfg, [1e-1], plan, body_samples=50)
+    assert rep.span_dim == 2
 
 
 @pytest.mark.parametrize("probe", ["sweep", "face", "degenerate"])
