@@ -1,7 +1,8 @@
 """Convex hull for the map's range (n <= 1000, d <= 6): facets, face lattice,
-and boundary queries.  Qhull proposes the facets, the configuration's own
-points fix them, and the face lattice is the closure of the facet point sets
-under intersection; in d >= 5 the face count, not n, sets the cost.
+and boundary queries.  Qhull proposes the facets and the configuration's own
+points fix them.  The face lattice, the closure of the facet point sets under
+intersection, is built on first use (``HullDescription`` names the reads that
+build it); in d >= 5 the face count, not n, sets its cost.
 
 The candidate facets are handled in batches.  Stacked fits: the point sets
 of one size (Qhull simplices, refit candidates, faces) share one
@@ -22,7 +23,9 @@ the hull the boundary distance is the smallest facet slack.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -60,24 +63,62 @@ class Face:
     incident_facets: tuple
 
 
-class HullDescription:
-    """Immutable hull data: facets, full face lattice, per-point classification."""
+class _Lattice(NamedTuple):  # a hull's face lattice, from _build_lattice
+    facets: list
+    faces: list
+    children: dict  # face_id -> tuple of covered face_ids
+    containing_face: tuple
+    face_ids: dict  # frozenset of points -> face_id
+    facet_position: dict  # facet face_id -> position in facets
 
-    def __init__(self, config, facets, faces, children, vertex_flags,
-                 containing_face, coplanarity_tol):
+
+class HullDescription:
+    """Immutable hull data, the facets first and the face lattice on first use.
+
+    Computed when the hull is made: ``facet_points`` (each facet's sorted
+    point tuple, in face-id order), ``normals`` and ``offsets`` (row k is
+    facet k), ``coplanarity_tol``, ``point_facets`` (per point, the ascending
+    positions of the facets through it) and ``vertex_flags``.  The first read
+    of ``facets``, ``faces``, ``children``, ``containing_face``,
+    ``face_by_points`` or ``facet_positions`` builds the lattice, once.
+    """
+
+    def __init__(self, config, facet_data: dict, coplanarity_tol):
+        """``facet_data``: {facet point set: (outward unit normal, offset)}."""
         self.config = config
-        self.facets = facets
-        self.faces = faces
-        self.children = children  # face_id -> tuple of covered face_ids
-        self.vertex_flags = tuple(vertex_flags)
-        self.containing_face = tuple(containing_face)
         self.coplanarity_tol = float(coplanarity_tol)
         self.diameter = config.diameter
-        self.normals = np.asarray([f.outward_normal for f in facets])
-        self.offsets = np.asarray([f.offset for f in facets])
-        self._face_by_points = {frozenset(f.vertex_indices): f.face_id for f in faces}
-        self._facet_position = {f.face_id: k for k, f in enumerate(facets)}
+        sets = sorted(facet_data, key=sorted)
+        self.facet_points = [tuple(sorted(s)) for s in sets]
+        self.normals = np.asarray([facet_data[s][0] for s in sets])
+        self.offsets = np.asarray([facet_data[s][1] for s in sets])
+        through = [[] for _ in range(config.n_points)]
+        for k, s in enumerate(sets):
+            for p in s:
+                through[p].append(k)
+        self.point_facets = [tuple(ks) for ks in through]
+        # A point is a vertex iff the facets through it meet in it alone.
+        # Tuples come from lists: freed tuples that CPython built by resizing
+        # (from a generator) pile up on its free lists, up to 2000 per length.
+        self.vertex_flags = tuple([
+            "interior" if not ks
+            else "vertex" if len(frozenset.intersection(*[sets[k] for k in ks])) == 1
+            else "boundary_nonvertex" for ks in through])
+        self._lock = threading.Lock()
+        self._built = None
         self._face_basis_cache = {}
+
+    def _lattice(self) -> _Lattice:
+        if self._built is None:
+            with self._lock:
+                if self._built is None:
+                    self._built = _build_lattice(self)
+        return self._built
+
+    facets = property(lambda self: self._lattice().facets)
+    faces = property(lambda self: self._lattice().faces)
+    children = property(lambda self: self._lattice().children)
+    containing_face = property(lambda self: self._lattice().containing_face)
 
     @property
     def dim(self) -> int:
@@ -85,15 +126,16 @@ class HullDescription:
 
     @property
     def vertices(self) -> tuple:
-        return tuple(i for i, f in enumerate(self.vertex_flags) if f == "vertex")
+        return tuple([i for i, f in enumerate(self.vertex_flags) if f == "vertex"])
 
     def face_by_points(self, indices):
-        fid = self._face_by_points.get(frozenset(indices))
+        fid = self._lattice().face_ids.get(frozenset(indices))
         return None if fid is None else self.faces[fid]
 
     def facet_positions(self, face_id: int) -> list:
         """Positions in ``facets`` (rows of ``normals``) of the facets through a face."""
-        return [self._facet_position[fid] for fid in self.faces[face_id].incident_facets]
+        position = self._lattice().facet_position
+        return [position[fid] for fid in self.faces[face_id].incident_facets]
 
     def face_points(self, face_id: int) -> np.ndarray:
         return self.config.points[list(self.faces[face_id].vertex_indices)]
@@ -255,7 +297,8 @@ def _hull_facets(config: PointConfiguration, coplanarity_tol: float | None = Non
 
 
 def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> HullDescription:
-    """Find the facets and build the full face lattice.
+    """Find the facets; the face lattice is built on first use (see
+    :class:`HullDescription`).
 
     Each simplex of Qhull's triangulated boundary (in d = 1, each point) is a
     candidate whose hyperplane is fitted, oriented outward and refitted over
@@ -277,8 +320,14 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
     ValueError for a given tolerance that is not finite or is below
     ``16 * eps * max|coordinate|``.
     """
-    facet_data, tol = _hull_facets(config, coplanarity_tol)
-    pts, d, n = config.points, config.dim, config.n_points
+    return HullDescription(config, *_hull_facets(config, coplanarity_tol))
+
+
+def _build_lattice(hull: HullDescription) -> _Lattice:
+    """The face lattice of a hull, from its facets."""
+    pts, d, n = hull.config.points, hull.dim, hull.config.n_points
+    facet_data = {frozenset(t): (hull.normals[k], float(hull.offsets[k]))
+                  for k, t in enumerate(hull.facet_points)}
 
     # face lattice: closure of facet point-sets under intersection.  Every
     # face is an intersection of facets, and two sets meet only through a
@@ -324,20 +373,10 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
                 children[k].append(fid)
     children = {fid: tuple(kids) for fid, kids in children.items()}
 
-    # a boundary point is a vertex iff the facets through it meet in a 0-face
-    vertex_flags = []
-    containing_face = []
-    for p in range(n):
-        if not facets_through[p]:
-            vertex_flags.append("interior")
-            containing_face.append(None)
-            continue
-        inter = frozenset.intersection(*facets_through[p])
-        containing_face.append(id_of[inter])
-        vertex_flags.append("vertex" if dims[inter] == 0 else "boundary_nonvertex")
-
-    return HullDescription(config, facets, faces, children, vertex_flags,
-                           containing_face, tol)
+    containing_face = tuple([id_of[frozenset.intersection(*fs)] if fs else None
+                             for fs in facets_through])
+    return _Lattice(facets, faces, children, containing_face, id_of,
+                    {f.face_id: k for k, f in enumerate(facets)})
 
 
 def _tie_tol(hull: HullDescription, tie_tol: float | None) -> float:
@@ -489,14 +528,15 @@ def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     best = np.full(pts.shape[0], np.inf)
     violated = []
-    for facet in hull.facets:
-        slack = facet.offset - pts @ facet.outward_normal
+    for normal, offset in zip(hull.normals, hull.offsets):
+        slack = offset - pts @ normal
         violated.append(np.flatnonzero(slack < 0.0))
         best = np.minimum(best, slack)
     best[best < 0.0] = np.inf
-    for facet, sel in zip(hull.facets, violated):
+    for k, sel in enumerate(violated):
         if sel.size:
-            best[sel] = np.minimum(best[sel], distances_to_face(hull, facet.face_id, pts[sel]))
+            best[sel] = np.minimum(best[sel],
+                                   distances_to_face(hull, hull.facets[k].face_id, pts[sel]))
     return best
 
 

@@ -9,10 +9,11 @@ Flattening each cell to the convex hull of its vertex directions yields a
 piecewise-linear surface whose convexity decides whether the hull of the
 facet normals is combinatorially equivalent to the dual.
 
-Every question here is answered from the hull's face lattice with the facets
-as labels: facet k is row k of ``hull.normals``, a cell is the set of labels
-of the facets through its face, and the incidence of cells is the containment
-of faces.  Labels, not normal coordinates, identify cells.
+The facets are the labels: facet k is row k of ``hull.normals``, a cell is
+the set of labels of the facets through its face, and the incidence of cells
+is the containment of faces.  Labels, not normal coordinates, identify cells.
+The duality check and the flattened dual read only the facet incidences
+(``hull.point_facets``); the spherical dual and the Gauss map read the lattice.
 """
 
 from __future__ import annotations
@@ -125,10 +126,9 @@ def _vertex_cells(hull: HullDescription) -> list:
     the facets through the vertex, their normals ordered by angle around the
     cone axis.  The vertices with the same number of facets are handled as one
     stack."""
-    vertices = hull.faces_of_dim(0)
+    vertices = hull.vertices
     cells = [None] * len(vertices)
-    for where, positions, gens in _stacks(hull, [hull.facet_positions(f.face_id)
-                                                 for f in vertices]):
+    for where, positions, gens in _stacks(hull, [hull.point_facets[p] for p in vertices]):
         axis = gens.sum(axis=1)
         nrm = np.sqrt(_rowdot(axis, axis))
         flat = nrm < 1e-12
@@ -142,7 +142,7 @@ def _vertex_cells(hull: HullDescription) -> list:
         ang = np.arctan2((gens @ perp[:, :, None])[..., 0], (gens @ ref[:, :, None])[..., 0])
         ordered = np.take_along_axis(positions, np.argsort(ang, axis=1), axis=1)
         for j, row in zip(where, ordered):
-            cells[j] = (vertices[j].vertex_indices[0], row)
+            cells[j] = (vertices[j], row)
     return cells
 
 
@@ -159,10 +159,10 @@ def flattened_spherical_dual(hull: HullDescription) -> list:
 
 
 def _normals_config(hull: HullDescription):
-    if len(hull.facets) > MAX_POINTS:
+    if len(hull.normals) > MAX_POINTS:
         raise TooManyPointsError(
             f"the facet normals' hull supports at most {MAX_POINTS} facets; "
-            f"this hull has {len(hull.facets)}"
+            f"this hull has {len(hull.normals)}"
         )
     return build_configuration(hull.normals)
 
@@ -199,7 +199,7 @@ def _flattened_convex(hull: HullDescription, cells: list) -> bool:
 
     # every non-incident facet normal strictly on the origin side of each
     # plane, a block of cells at a time
-    step = max(1, _SLACK_BLOCK // len(hull.facets))
+    step = max(1, _SLACK_BLOCK // len(hull.normals))
     for start in range(0, len(cells), step):
         block = slice(start, start + step)
         dots = _rowdot(hull.normals[None], planes[block, None])
@@ -223,7 +223,7 @@ def dual_combinatorics_check(hull: HullDescription) -> DualCheckResult:
     compared with ``FLATTEN_PLANARITY_TOL``; on a nearly degenerate hull, such
     as a cube perturbed by 1e-4, a flattened cell can pass as planar within
     ``FLATTEN_PLANARITY_TOL`` while the transform's facets split it.  The
-    check finds the normals' facets but builds no face lattice.
+    check builds neither the hull's nor the normals' face lattice.
     """
     if hull.dim != 3:
         raise DimensionUnsupportedError("duality check is defined for d = 3")

@@ -15,10 +15,10 @@ import numpy as np
 from hullmaps.errors import DegenerateConfigurationError
 from hullmaps.geom_core import PointConfiguration, is_nondegenerate
 from hullmaps.hull_oracle import DEFAULT_TOL_REL, Face, Facet, HullDescription
-from tests.hull_loop import _affine_rank, _fit_hyperplane
+from tests.hull_loop import OracleHull, _affine_rank, _fit_hyperplane
 
 
-def brute_force_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> HullDescription:
+def brute_force_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> OracleHull:
     """Enumerate facets over all d-subsets and build the full face lattice."""
     if not is_nondegenerate(config):
         raise DegenerateConfigurationError(
@@ -116,11 +116,10 @@ def brute_force_hull(config: PointConfiguration, coplanarity_tol: float | None =
         rank = int(np.linalg.matrix_rank(normals, tol=1e-9))
         vertex_flags.append("vertex" if rank == d else "boundary_nonvertex")
 
-    return HullDescription(config, facets, faces, children, vertex_flags,
-                           containing_face, tol)
+    return OracleHull(facets, faces, children, tuple(vertex_flags), tuple(containing_face))
 
 
-def assert_same_hull(hull: HullDescription, oracle: HullDescription) -> None:
+def assert_same_hull(hull: HullDescription, oracle: OracleHull) -> None:
     """Facet sets, normals and offsets (bitwise), faces, lattice and flags agree."""
     assert [f.vertex_indices for f in hull.facets] == [f.vertex_indices for f in oracle.facets]
     for f, g in zip(hull.facets, oracle.facets):

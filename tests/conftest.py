@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from hullmaps import build_configuration, build_hull
+from hullmaps import build_configuration, build_hull, hull_oracle
+
+
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """The hulls whose face lattice was built, one entry per build, while
+    the test runs (``hull_oracle._build_lattice`` wrapped to record them)."""
+    built = []
+    build = hull_oracle._build_lattice
+
+    def counted(hull):
+        built.append(hull)
+        return build(hull)
+
+    monkeypatch.setattr(hull_oracle, "_build_lattice", counted)
+    return built
 
 
 @pytest.fixture

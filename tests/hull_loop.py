@@ -12,6 +12,8 @@ lattice and flags, cyclic cell orders and convexity verdicts.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.spatial import ConvexHull
 
@@ -19,6 +21,23 @@ from hullmaps.geom_core import MAX_DIM, MAX_POINTS
 from hullmaps.errors import DegenerateConfigurationError, TooManyPointsError
 from hullmaps.geom_core import PointConfiguration, is_nondegenerate
 from hullmaps.hull_oracle import DEFAULT_TOL_REL, Face, Facet, HullDescription
+
+
+@dataclass(frozen=True)
+class OracleHull:
+    """An oracle's hull with its own face lattice: the attributes that
+    ``tests.brute_force_hull.assert_same_hull`` compares, and the normals."""
+
+    facets: list
+    faces: list
+    children: dict  # face_id -> tuple of covered face_ids
+    vertex_flags: tuple
+    containing_face: tuple
+
+    @property
+    def normals(self) -> np.ndarray:
+        """Row k is the outward normal of ``facets[k]``."""
+        return np.asarray([f.outward_normal for f in self.facets])
 
 
 def _affine_rank(pts: np.ndarray, tol_rel: float = 1e-9) -> int:
@@ -40,7 +59,7 @@ def _fit_hyperplane(pts: np.ndarray):
     return normal, offset
 
 
-def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> HullDescription:
+def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None) -> OracleHull:
     """Find the facets and build the full face lattice.
 
     Each simplex of Qhull's triangulated boundary (in d = 1, each point) is a
@@ -157,8 +176,7 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
         containing_face.append(id_of[inter])
         vertex_flags.append("vertex" if dims[inter] == 0 else "boundary_nonvertex")
 
-    return HullDescription(config, facets, faces, children, vertex_flags,
-                           containing_face, tol)
+    return OracleHull(facets, faces, children, tuple(vertex_flags), tuple(containing_face))
 
 
 def vertex_cells(hull: HullDescription) -> list:

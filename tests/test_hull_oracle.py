@@ -2,6 +2,8 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -27,6 +29,7 @@ from hullmaps import (
     sample_face_points,
     write_points_csv,
 )
+from hullmaps import hull_oracle
 from tests.brute_force_hull import assert_same_hull, brute_force_hull
 from tests.conftest import random_configuration
 from tests.recursive_distance import boundary_distance as recursive_boundary_distance
@@ -87,6 +90,81 @@ def test_lattice_closed_under_intersection(cube_hull):
             inter = a & b
             if inter:
                 assert inter in sets
+
+
+_LATTICE_READS = {
+    "facets": lambda h: h.facets,
+    "faces": lambda h: h.faces,
+    "children": lambda h: h.children,
+    "containing_face": lambda h: h.containing_face,
+    "face_by_points": lambda h: h.face_by_points([0]),
+}
+
+
+def test_lattice_built_once_on_first_read(cube, lattice_builds):
+    """The facets, incidences and flags come without the lattice; the first
+    read of any lattice attribute builds it, and no later read builds it
+    again, whatever the order."""
+    for order in itertools.permutations(_LATTICE_READS):
+        hull = build_hull(cube)
+        assert hull.facet_points[:2] == [(0, 1, 2, 3), (0, 1, 4, 5)]
+        assert hull.point_facets[0] == (0, 1, 2) and hull.vertices == tuple(range(8))
+        assert lattice_builds == []
+        results = [_LATTICE_READS[name](hull) for name in order]
+        results += [_LATTICE_READS[name](hull) for name in order]
+        assert lattice_builds == [hull]
+        assert all(a is b for a, b in zip(results[:5], results[5:]))
+        lattice_builds.clear()
+
+
+def test_threads_share_one_lattice(cube, monkeypatch, lattice_builds):
+    """Threads that read ``faces`` first on one fresh hull get the same
+    objects from one build; the builder is slowed and the switch interval
+    shortened so that they all reach it together."""
+    counted = hull_oracle._build_lattice
+    monkeypatch.setattr(hull_oracle, "_build_lattice",
+                        lambda hull: time.sleep(0.05) or counted(hull))
+    hull = build_hull(cube)
+    barrier = threading.Barrier(4, timeout=10)
+    got = [None] * 4
+
+    def read(k):
+        barrier.wait()
+        got[k] = hull.faces
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is hull.faces for g in got)
+    assert lattice_builds == [hull]
+
+
+def test_inside_distances_build_no_lattice(lattice_builds):
+    """Points inside take their smallest slack from the rows of ``normals``
+    and ``offsets``, bitwise the facet records' slacks, with no lattice; one
+    outside point builds it, once."""
+    rng = np.random.default_rng(35)
+    for d in (2, 3, 4):
+        hull = build_hull(random_configuration(rng, 12, d))
+        inside = rng.dirichlet(np.full(12, 0.5), size=50) @ hull.config.points
+        got = distances_to_boundary(hull, inside)
+        assert lattice_builds == []
+        want = np.min([f.offset - inside @ f.outward_normal for f in hull.facets], axis=0)
+        assert got.tobytes() == want.tobytes()
+        lattice_builds.clear()
+        hull = build_hull(hull.config)
+        outside = np.vstack([inside, 3.0 * hull.diameter * np.eye(d)[:1]])
+        assert np.isfinite(distances_to_boundary(hull, outside)).all()
+        assert lattice_builds == [hull]
+        lattice_builds.clear()
 
 
 def test_vertices_match_scipy():
@@ -392,8 +470,6 @@ def test_face_rejection_sampler_is_bounded(monkeypatch):
     """The 4-cube's facets are non-simplicial 3-faces, sampled by rejection; a
     membership check that rejects everything raises a typed error instead
     of looping on."""
-    from hullmaps import hull_oracle
-
     hull = build_hull(build_configuration(list(itertools.product((-1.0, 1.0), repeat=4))))
     facet = hull.facets[0]
     assert len(facet.vertex_indices) == 8

@@ -410,6 +410,22 @@ def test_dual_check_equivalent_matches_transform_facets():
     assert split[len(cases):] == [False] * 4 + [True] * 3
 
 
+def test_duality_builds_no_lattice(lattice_builds):
+    """The duality check and the flattened dual read the facet incidences, not
+    the face lattice: neither builds it on the duality polytopes or on seeded
+    Gaussian sets (``_vertex_cells`` is checked against the lattice's vertex
+    cells in ``test_vertex_cells_and_convexity_match_loop``)."""
+    rng = np.random.default_rng(22)
+    cases = [np.asarray(pts, dtype=float) for pts in _duality_polytopes()]
+    cases += [rng.standard_normal((n, 3)) for n in (8, 11, 14)]
+    for pts in cases:
+        hull = build_hull(build_configuration(pts))
+        dual_combinatorics_check(hull)
+        flattened_spherical_dual(hull)
+    assert lattice_builds == []
+    assert len(hull.faces) > 0 and lattice_builds == [hull]
+
+
 def test_dual_check_requires_d3(square_hull):
     with pytest.raises(DimensionUnsupportedError):
         dual_combinatorics_check(square_hull)
