@@ -7,12 +7,7 @@ evaluates the maps, builds the hull and its normal-fan/spherical-dual
 structure as ground truth, and measures the convergence.
 """
 
-from .boundary_map import (
-    c_factor,
-    evaluate_batch_array,
-    limit_factor,
-    weights_batch_array,
-)
+from .boundary_map import evaluate_batch_array, weights_batch_array
 from .errors import (
     AmbiguousTieError,
     DegenerateConfigurationError,
@@ -46,32 +41,24 @@ from .hull_oracle import (
     classify_directions_bulk,
     distances_to_boundary,
     distances_to_face,
-    in_normal_spherical_polytope,
-    minimal_face_containing,
     sample_boundary,
     sample_face_points,
 )
 from .normal_fan_dual import (
     DualCheckResult,
-    SphericalDualComplex,
     dual_combinatorics_check,
     flattened_spherical_dual,
-    gauss_map,
     outer_normal_transform,
     spherical_dual,
-    w_set_contains,
 )
 from .set_metrics import (
-    ConvergenceReport,
     arctan_family,
     concave_turn_indices,
-    count_concave_runs,
     degenerate_limit_probe,
     directed_hausdorff,
     face_limit_probe,
     graph_limit_demo,
     nonconvexity_probe,
-    symmetric_hausdorff,
     theorem_sweep,
 )
 from .sphere_sampling import SamplePlan, sample, sample_near

@@ -55,8 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError
-from .geom_core import PointConfiguration, unit_direction, unit_directions
+from .geom_core import PointConfiguration, unit_directions
 
 _CHUNK_BUDGET = 65_536  # floats per tile buffer; a run's two buffers fit in a 2 MiB L2
 # exp underflows to exactly 0.0 below -1075 log(2) = -745.1332; the remaining
@@ -80,11 +79,6 @@ _WORKERS = _cpu_count()  # kernel runs per batch: one per CPU the process may us
 def _validate(epsilon: float) -> None:
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-
-
-def _check_index(config: PointConfiguration, i: int) -> None:
-    if not (0 <= i < config.n_points):
-        raise IndexOutOfRangeError(f"index {i} outside 0..{config.n_points - 1}")
 
 
 def _tile_shape(n: int) -> tuple[int, int]:
@@ -275,18 +269,6 @@ def _eval_batch(points, planes, eps, dirs, images_only=False):
     return out
 
 
-def c_factor(config: PointConfiguration, i: int, j: int, epsilon: float, n) -> float:
-    """Single pair factor ``eps + max(0, -<n, n_ij>)``; always positive."""
-    _validate(epsilon)
-    _check_index(config, i)
-    _check_index(config, j)
-    if i == j:
-        raise ValueError("pair factor requires i != j")
-    d = unit_direction(n, config.dim)
-    nij = np.ascontiguousarray(config.pairwise_dirs[i, j])  # BLAS rounds strided dots differently
-    return epsilon + max(0.0, -float(np.dot(d, nij)))
-
-
 def evaluate_batch_array(config: PointConfiguration, epsilon: float, dirs) -> np.ndarray:
     """Image points for a batch of directions as an (N, d) array.
 
@@ -304,22 +286,3 @@ def weights_batch_array(config: PointConfiguration, epsilon: float, dirs):
     arr = unit_directions(dirs, config.dim)
     return _eval_batch(config.points, config.pair_planes, epsilon, arr)
 
-
-def limit_factor(config: PointConfiguration, i: int, n) -> float:
-    """Zero-epsilon limit of the i-th product factor: prod_j max(0, -<n, n_ij>).
-
-    At most one index has a strictly positive value, and that index is a
-    hull vertex; the value is 0 whenever the direction supports a face of
-    positive dimension.
-    """
-    _check_index(config, i)
-    d = unit_direction(n, config.dim)
-    row = np.ascontiguousarray(config.pairwise_dirs[i])  # BLAS rounds strided dots differently
-    acc = 1.0
-    for j in range(config.n_points):
-        if j == i:
-            continue
-        acc *= max(0.0, -float(np.dot(d, row[j])))
-        if acc == 0.0:
-            return 0.0
-    return acc

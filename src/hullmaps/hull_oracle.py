@@ -33,7 +33,6 @@ from scipy.spatial import ConvexHull
 from .errors import (
     AmbiguousTieError,
     DegenerateConfigurationError,
-    IndexOutOfRangeError,
     SamplingExhaustedError,
 )
 from .geom_core import (DEFAULT_RANK_TOL, MAX_TRIES_PER_SAMPLE, PointConfiguration,
@@ -446,24 +445,6 @@ def classify_directions_bulk(hull: HullDescription, dirs, tie_tol: float | None 
     return out
 
 
-def in_normal_spherical_polytope(config: PointConfiguration, i: int, n, strict: bool = False) -> bool:
-    """Direct inequality test: <n, n_ij> <= 0 (strict: < 0) for all j != i.
-
-    Independent of any hull construction; serves as the cross-validation
-    oracle for classify_direction.
-    """
-    if not (0 <= i < config.n_points):
-        raise IndexOutOfRangeError(f"index {i} outside 0..{config.n_points - 1}")
-    d = unit_direction(n, config.dim)
-    # a contiguous copy of the row: BLAS rounds a product with the strided
-    # (n, n, d) view differently, which could flip the sign of a zero dot
-    dots = np.ascontiguousarray(config.pairwise_dirs[i]) @ d
-    dots[i] = -1.0  # self entry is a zero vector; exclude it
-    if strict:
-        return bool(np.all(dots < 0.0))
-    return bool(np.all(dots <= 0.0))
-
-
 def _in_hull(hull: HullDescription, q: np.ndarray):
     """Facet-slack membership of q, a point or rows of points; for q in aff(F)
     it decides q in F = K & aff(F)."""
@@ -538,24 +519,6 @@ def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
             best[sel] = np.minimum(best[sel],
                                    distances_to_face(hull, hull.facets[k].face_id, pts[sel]))
     return best
-
-
-def minimal_face_containing(hull: HullDescription, x, tol: float | None = None):
-    """The smallest face whose polytope contains x, or None if x is off-boundary.
-
-    The face is cut out by the facets within ``tol`` of x (default the hull's
-    ``coplanarity_tol``, which scales with the points).
-    """
-    x = np.asarray(x, dtype=float)
-    if tol is None:
-        tol = hull.coplanarity_tol
-    member = [f for f in hull.facets if distances_to_face(hull, f.face_id, x)[0] <= tol]
-    if not member:
-        return None
-    inter = frozenset(member[0].vertex_indices)
-    for f in member[1:]:
-        inter &= frozenset(f.vertex_indices)
-    return hull.face_by_points(inter)
 
 
 def _fan_samples(verts: np.ndarray, local: np.ndarray, count: int, rng) -> np.ndarray:

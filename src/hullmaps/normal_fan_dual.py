@@ -1,19 +1,19 @@
-"""Spherical duals, the polytope Gauss map, and duality checks.
+"""Spherical duals and duality checks.
 
 The normal cone of a face is generated by the outward normals of its incident
 facets; intersecting with the unit sphere gives the normal spherical polytope,
 the face's dual cell.  Those cells tile the sphere and are combinatorially the
-dual polytope.  The Gauss map sends a boundary point to the cell of its
-minimal face, and ``hull_oracle.classify_direction`` is its inverse.
-Flattening each cell to the convex hull of its vertex directions yields a
-piecewise-linear surface whose convexity decides whether the hull of the
-facet normals is combinatorially equivalent to the dual.
+dual polytope, and ``hull_oracle.classify_direction`` sends a direction to
+the face whose cell holds it.  Flattening each cell to the convex hull of its
+vertex directions yields a piecewise-linear surface whose convexity decides
+whether the hull of the facet normals is combinatorially equivalent to the
+dual.
 
 The facets are the labels: facet k is row k of ``hull.normals``, a cell is
 the set of labels of the facets through its face, and the incidence of cells
 is the containment of faces.  Labels, not normal coordinates, identify cells.
 The duality check and the flattened dual read only the facet incidences
-(``hull.point_facets``); the spherical dual and the Gauss map read the lattice.
+(``hull.point_facets``); the spherical dual reads the lattice.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionUnsupportedError, NotOnBoundaryError, TooManyPointsError
+from .errors import DimensionUnsupportedError, TooManyPointsError
 from .geom_core import MAX_POINTS, build_configuration
 from .hull_oracle import (
     _SLACK_BLOCK,
@@ -32,8 +32,6 @@ from .hull_oracle import (
     _faces_below,
     _hull_facets,
     build_hull,
-    classify_direction,
-    minimal_face_containing,
 )
 
 FLATTEN_PLANARITY_TOL = 1e-7
@@ -83,27 +81,6 @@ def spherical_dual(hull: HullDescription) -> SphericalDualComplex:
         counts[c.cell_dim] += 1
     return SphericalDualComplex(cells=cells, incidence=tuple(sorted(pairs)),
                                 cell_counts=tuple(counts))
-
-
-def gauss_map(hull: HullDescription, x, tol: float | None = None) -> DualCell:
-    """The dual cell of the minimal face containing a boundary point (the face
-    ``minimal_face_containing`` finds within ``tol``).
-
-    Raises NotOnBoundaryError when no facet lies within ``tol`` of x.
-    """
-    face = minimal_face_containing(hull, x, tol)
-    if face is None:
-        raise NotOnBoundaryError("point is not on the hull boundary within tolerance")
-    return _cell(hull, face)
-
-
-def w_set_contains(hull: HullDescription, face_id: int, n, tie_tol: float | None = None) -> bool:
-    """Membership in the relatively open union of cell interiors below a face."""
-    face = hull.faces[face_id]
-    if face.dim < 1:
-        raise ValueError("the open set is defined for faces of dimension >= 1")
-    g = classify_direction(hull, n, tie_tol)
-    return frozenset(g.vertex_indices) <= frozenset(face.vertex_indices)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

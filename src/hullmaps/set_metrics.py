@@ -161,11 +161,6 @@ def directed_hausdorff(a, target) -> float:
     return float(_min_dists(pts, tgt).max())
 
 
-def symmetric_hausdorff(a, b) -> float:
-    """max of the two directed distances between finite point sets."""
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
-
-
 def _validate_epsilons(epsilons) -> list:
     eps = [float(e) for e in epsilons]
     if not eps:
@@ -593,20 +588,6 @@ def concave_turn_indices(polyline: np.ndarray, scale: float | None = None) -> li
     thresh = 1e-12 * scale * scale
     bad = np.flatnonzero(cross * orient < -thresh)
     return [keep[(int(k) + 1) % m] for k in bad]
-
-
-def count_concave_runs(indices, n_points: int) -> int:
-    """Number of cyclically contiguous groups among concave turn indices."""
-    if not indices:
-        return 0
-    marks = sorted(set(int(i) % n_points for i in indices))
-    runs = 0
-    for prev, cur in zip([marks[-1] - n_points] + marks[:-1], marks):
-        if cur - prev > 1:
-            runs += 1
-    if runs == 0:
-        runs = 1  # every index adjacent: single cyclic run
-    return runs
 
 
 def nonconvexity_probe(config: PointConfiguration, eps: float, plan: SamplePlan) -> list:

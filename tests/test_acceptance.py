@@ -24,7 +24,6 @@ from hullmaps import (
     evaluate_batch_array,
     face_limit_probe,
     graph_limit_demo,
-    in_normal_spherical_polytope,
     is_nondegenerate,
     nonconvexity_probe,
     outer_normal_transform,
@@ -42,6 +41,7 @@ from hullmaps.fileio import (
     write_points_csv,
 )
 from tests.conftest import random_configuration, truncated_tetrahedron_points
+from tests.definitions import in_normal_spherical_polytope
 
 
 @contextmanager

@@ -1,0 +1,71 @@
+"""The public surface of ``hullmaps``: what it exports, and that no module
+imports what it does not use."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import hullmaps
+
+PUBLIC_NAMES = [
+    "AmbiguousTieError", "DegenerateConfigurationError", "DimensionMismatchError",
+    "DimensionUnsupportedError", "DualCheckResult", "DuplicatePointsError", "EmptyProbeError",
+    "EmptySetError", "Face", "Facet", "HullDescription", "HullMapsError",
+    "IndexOutOfRangeError", "NotOnBoundaryError", "PointConfiguration",
+    "RequiresDegenerateError", "SamplePlan", "SamplingExhaustedError",
+    "StrategyDimensionMismatchError", "TooManyPointsError", "arctan_family",
+    "build_configuration", "build_hull", "classify_direction", "classify_directions_bulk",
+    "concave_turn_indices", "degenerate_limit_probe", "directed_hausdorff",
+    "distances_to_boundary", "distances_to_face", "dual_combinatorics_check",
+    "evaluate_batch_array", "face_limit_probe", "flattened_spherical_dual",
+    "graph_limit_demo", "is_nondegenerate", "kernel_backend", "nonconvexity_probe",
+    "outer_normal_transform", "read_points_csv", "sample", "sample_boundary",
+    "sample_face_points", "sample_near", "spherical_dual", "theorem_sweep", "unit_vector",
+    "weights_batch_array", "write_points_csv",
+]
+
+# the paper's definitions now live in tests/definitions.py as oracles; the
+# Hausdorff and run-count helpers are gone; the two records are return types only
+NOT_EXPORTED = [
+    "c_factor", "limit_factor", "in_normal_spherical_polytope", "minimal_face_containing",
+    "gauss_map", "w_set_contains", "symmetric_hausdorff", "count_concave_runs",
+    "SphericalDualComplex", "ConvergenceReport",
+]
+
+PACKAGE = Path(hullmaps.__file__).resolve().parent
+
+
+def test_public_names_are_pinned():
+    names = sorted(n for n in dir(hullmaps)
+                   if not n.startswith("_") and not inspect.ismodule(getattr(hullmaps, n)))
+    assert names == PUBLIC_NAMES
+
+
+def test_moved_and_dropped_names_are_not_exported():
+    assert [n for n in NOT_EXPORTED if hasattr(hullmaps, n)] == []
+
+
+def _sibling_imports(tree: ast.Module, lines: list):
+    """(name, line) per name a module binds by ``from . import`` or
+    ``from .sibling import``, except on lines marked ``# noqa: F401``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        if any("noqa: F401" in lines[k] for k in range(node.lineno - 1, node.end_lineno)):
+            continue
+        for alias in node.names:
+            yield alias.asname or alias.name, node.lineno
+
+
+def test_every_sibling_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _sibling_imports(tree, source.splitlines())
+                   if name not in used]
+    assert unused == []

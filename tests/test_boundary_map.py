@@ -7,16 +7,14 @@ from hullmaps import (
     TooManyPointsError,
     build_configuration,
     build_hull,
-    c_factor,
     classify_direction,
     classify_directions_bulk,
     distances_to_boundary,
     evaluate_batch_array,
-    in_normal_spherical_polytope,
-    limit_factor,
     weights_batch_array,
 )
 from tests.conftest import random_configuration
+from tests.definitions import c_factor, in_normal_spherical_polytope, limit_factor
 
 DIAG = np.array([-1.0, -1.0]) / np.sqrt(2.0)
 

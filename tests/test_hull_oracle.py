@@ -23,8 +23,6 @@ from hullmaps import (
     distances_to_boundary,
     distances_to_face,
     face_limit_probe,
-    in_normal_spherical_polytope,
-    minimal_face_containing,
     sample_boundary,
     sample_face_points,
     write_points_csv,
@@ -32,6 +30,7 @@ from hullmaps import (
 from hullmaps import hull_oracle
 from tests.brute_force_hull import assert_same_hull, brute_force_hull
 from tests.conftest import random_configuration
+from tests.definitions import in_normal_spherical_polytope, minimal_face_containing
 from tests.recursive_distance import boundary_distance as recursive_boundary_distance
 from tests.recursive_distance import distance_to_face as recursive_distance_to_face
 

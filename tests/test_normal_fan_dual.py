@@ -11,19 +11,17 @@ from hullmaps import (
     distances_to_boundary,
     dual_combinatorics_check,
     flattened_spherical_dual,
-    gauss_map,
-    minimal_face_containing,
     outer_normal_transform,
     sample_boundary,
     sample_face_points,
     spherical_dual,
-    w_set_contains,
 )
 from hullmaps import normal_fan_dual
 from hullmaps.cli import main
 from hullmaps.fileio import write_points_csv
 from tests import hull_loop
 from tests.conftest import random_configuration, truncated_tetrahedron_points
+from tests.definitions import gauss_map, minimal_face_containing, w_set_contains
 from tests.test_hull_differential import _cube, _duality_polytopes
 
 

@@ -13,7 +13,6 @@ from hullmaps import (
     build_configuration,
     build_hull,
     concave_turn_indices,
-    count_concave_runs,
     degenerate_limit_probe,
     directed_hausdorff,
     evaluate_batch_array,
@@ -22,11 +21,15 @@ from hullmaps import (
     nonconvexity_probe,
     sample,
     sample_boundary,
-    symmetric_hausdorff,
     theorem_sweep,
 )
 from hullmaps.errors import DimensionUnsupportedError
 from hullmaps.set_metrics import _min_dists, arc_tube_directions, cap_directions
+
+
+def symmetric_hausdorff(a, b) -> float:
+    """The symmetric Hausdorff distance of two finite point sets."""
+    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 def test_directed_single_pair():
@@ -408,8 +411,11 @@ def test_nonconvexity_triangle(triangle):
     plan = SamplePlan(dim=2, strategy="uniform_grid_2d", count=2000)
     idx = nonconvexity_probe(triangle, 0.1, plan)
     assert len(idx) > 0
-    # one concave dip opposite each edge normal
-    assert count_concave_runs(idx, 2000) >= 3
+    # one concave dip opposite each edge normal: a run of cyclically
+    # contiguous indices starts at each index whose predecessor is unmarked
+    marks = sorted({int(i) % 2000 for i in idx})
+    runs = sum(cur - prev > 1 for prev, cur in zip([marks[-1] - 2000] + marks[:-1], marks))
+    assert runs >= 3
 
 
 def test_nonconvexity_regular_12gon():
