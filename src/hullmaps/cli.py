@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geom_core import build_configuration, read_points_csv
 from .hull_oracle import build_hull, classify_direction
-from .sphere_sampling import SamplePlan, default_strategy, sample, sample_near
+from .sphere_sampling import STRATEGIES, SamplePlan, default_strategy, sample, sample_near
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -84,7 +84,7 @@ def cmd_hull(args: argparse.Namespace) -> int:
     for f in hull.faces:
         n_by_dim[f.dim] = n_by_dim.get(f.dim, 0) + 1
     summary = " ".join(f"dim{d}:{n_by_dim[d]}" for d in sorted(n_by_dim))
-    print(f"hull: {len(hull.vertices)} vertices, {len(hull.facets)} facets ({summary})")
+    print(f"hull: {len(hull.vertices)} vertices, {len(hull.normals)} facets ({summary})")
     if config.dim == 3:
         v = n_by_dim.get(0, 0)
         e = n_by_dim.get(1, 0)
@@ -103,7 +103,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
     # one OBJ face per hull vertex: the rows of hull.normals of its facets, in cyclic order
     index_cells = [positions for _, positions in normal_fan_dual._vertex_cells(hull)]
     verdict = normal_fan_dual._dual_check(
-        hull, index_cells, {frozenset(f.vertex_indices) for f in transform.facets})
+        hull, index_cells, set(map(frozenset, transform.facet_points)))
 
     fileio.write_obj_mesh(_with_suffix(args.out, "_spherical.obj"), hull.normals, index_cells)
     fileio.write_obj_mesh(_with_suffix(args.out, "_flattened.obj"), hull.normals, index_cells)
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drawn from only by gaussian_random plans and by caps in d >= 4")
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--strategy", choices=["uniform_grid_2d", "fibonacci_3d", "gaussian_random"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--cap-center", type=_parse_floats, default=None,
                    help="comma-separated direction for targeted sampling")
     p.add_argument("--cap-radius", type=float, default=None)
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-list", type=_parse_floats, default=set_metrics.DEFAULT_EPSILONS,
                    help="comma-separated decreasing epsilons")
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--strategy", choices=["uniform_grid_2d", "fibonacci_3d", "gaussian_random"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--boundary-per-facet", type=int, default=None,
                    help="boundary samples per facet (default 200); not with --degenerate")
     p.add_argument("--degenerate", action="store_true",

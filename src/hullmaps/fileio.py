@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geom_core import read_points_csv, write_points_csv  # noqa: F401 (re-exported)
-from .hull_oracle import HullDescription
+from .hull_oracle import HullDescription, _segment_ends
 
 
 def _fmt(x: float) -> str:
@@ -93,7 +93,6 @@ def read_hull_document(path) -> dict:
                 head, rest = ln.split(":", 1)
                 fid = int(head.split()[1])
                 toks = rest.split()
-                ip = toks.index("points") if "points" in toks else 0
                 inorm = toks.index("normal")
                 ioff = toks.index("offset")
                 out["facets"].append({
@@ -226,15 +225,8 @@ def write_svg(path, config, hull, images) -> None:
         lines.append(
             f'<polygon points="{path_pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
         )
-    for facet in hull.facets:
-        fp = hull.face_points(facet.face_id)
-        axis = fp[-1] - fp[0]
-        if float(axis @ axis) > 0:
-            t = fp @ axis
-            ia, ib = int(np.argmin(t)), int(np.argmax(t))
-        else:
-            ia, ib = 0, len(fp) - 1
-        a, b = tx(fp[ia]), tx(fp[ib])
+    for facet in hull.facet_points:
+        a, b = map(tx, _segment_ends(hull.config.points[list(facet)]))
         lines.append(
             f'<line x1="{a[0]:.3f}" y1="{a[1]:.3f}" x2="{b[0]:.3f}" y2="{b[1]:.3f}" '
             'stroke="#888888" stroke-width="1" stroke-dasharray="4 3"/>'

@@ -214,13 +214,61 @@ def build_configuration(raw_points, distinctness_tol: float | None = None) -> Po
     return PointConfiguration(np.vstack(rows), distinctness_tol)
 
 
+def _by_length(sets) -> dict:
+    """Positions of the sequences in ``sets``, grouped by length."""
+    groups = {}
+    for k, s in enumerate(sets):
+        groups.setdefault(len(s), []).append(k)
+    return groups
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[k], b[k])`` for each row k, bitwise: a stack of (1, d) @ (d, 1)
+    products is one BLAS dot per row, where a matrix product would round
+    differently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _affine_ranks(pts: np.ndarray, sets) -> np.ndarray:
+    """Affine rank of the points of each index tuple: the number of singular
+    values of the differences from the tuple's first point above
+    ``DEFAULT_RANK_TOL`` x the largest, one stacked SVD per tuple length (a
+    tuple's order is its row order in the stack).  The points are distinct, as
+    a configuration's are, so one or two of them have rank 0 or 1."""
+    ranks = np.zeros(len(sets), dtype=int)
+    for m, where in _by_length(sets).items():
+        if m < 3:
+            ranks[where] = m - 1
+            continue
+        sub = pts[np.array([sets[k] for k in where])]
+        sv = np.linalg.svd(sub[:, 1:] - sub[:, :1], compute_uv=False)
+        ranks[where] = np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[:, :1], axis=1)
+    return ranks
+
+
+def _fit_hyperplanes(pts: np.ndarray, sets):
+    """Best-fit unit normals (k, d) and offsets (k,) through the points of each
+    index tuple of affine rank d-1: per tuple length, one stacked SVD of the
+    centred points, whose last right singular vectors are the normals, and
+    the offsets ``<normal, mean>``."""
+    normals = np.empty((len(sets), pts.shape[1]))
+    offsets = np.empty(len(sets))
+    for where in _by_length(sets).values():
+        sub = pts[np.array([sets[k] for k in where])]
+        center = sub.mean(axis=1)
+        _, _, vh = np.linalg.svd(sub - center[:, None], full_matrices=True)
+        normal = vh[:, -1]
+        normals[where] = normal
+        offsets[where] = _rowdot(normal, center)
+    return normals, offsets
+
+
 def _affine_rank(pts: np.ndarray) -> int:
-    """Affine rank of two or more points (rows): the number of singular values
-    of their differences from the first point above ``DEFAULT_RANK_TOL`` x the
-    largest.  The hull build and the degenerate probe both take the rank from
-    here, so a set the one calls degenerate the other does too."""
-    sv = np.linalg.svd(pts[1:] - pts[0], compute_uv=False)
-    return int(np.sum(sv > DEFAULT_RANK_TOL * sv[0]))
+    """Affine rank of two or more points (rows): :func:`_affine_ranks` of the
+    one tuple of all of them.  The hull build, the face lattice and the
+    degenerate probe all take their ranks from that routine, so a set the one
+    calls degenerate the others do too."""
+    return int(_affine_ranks(pts, [tuple(range(len(pts)))])[0])
 
 
 def is_nondegenerate(config: PointConfiguration) -> bool:

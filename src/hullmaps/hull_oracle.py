@@ -7,11 +7,13 @@ build it); in d >= 5 the face count, not n, sets its cost.
 The candidate facets are handled in batches.  Stacked fits: the point sets
 of one size (Qhull simplices, refit candidates, faces) share one
 ``np.linalg.svd`` call on a (k, m, d) stack, for their affine rank and for
-their best-fit hyperplane.  Block slack tests: the orientation and
-membership tests ``|<pt, normal> - offset| <= tol`` of a block of candidates
-are one stacked matrix-vector product with the points, with at most
-``_SLACK_BLOCK`` floats in a block.  Both give the same bits as one call per
-candidate.
+their best-fit hyperplane.  The rank and plane-fit routines live in
+``geom_core`` (``_affine_ranks``, ``_fit_hyperplanes``), and the duality
+check fits its flattened cells with the same plane fit.  Block slack tests:
+the orientation and membership tests ``|<pt, normal> - offset| <= tol`` of a
+block of candidates are one stacked matrix-vector product with the points,
+with at most ``_SLACK_BLOCK`` floats in a block.  Both give the same bits as
+one call per candidate.
 
 Every face and boundary distance comes from one formula: for a face F and a
 point x, dist(x, F) = min |x - proj_aff(G)(x)| over the faces G of F (F
@@ -35,8 +37,8 @@ from .errors import (
     DegenerateConfigurationError,
     SamplingExhaustedError,
 )
-from .geom_core import (DEFAULT_RANK_TOL, MAX_TRIES_PER_SAMPLE, PointConfiguration,
-                        is_nondegenerate, unit_direction, unit_directions)
+from .geom_core import (MAX_TRIES_PER_SAMPLE, PointConfiguration, _affine_ranks,
+                        _fit_hyperplanes, is_nondegenerate, unit_direction, unit_directions)
 
 DEFAULT_TOL_REL = 1e-9
 _SLACK_BLOCK = 65_536  # floats in one block's slack table (candidates x points)
@@ -74,12 +76,15 @@ class _Lattice(NamedTuple):  # a hull's face lattice, from _build_lattice
 class HullDescription:
     """Immutable hull data, the facets first and the face lattice on first use.
 
-    Computed when the hull is made: ``facet_points`` (each facet's sorted
-    point tuple, in face-id order), ``normals`` and ``offsets`` (row k is
-    facet k), ``coplanarity_tol``, ``point_facets`` (per point, the ascending
-    positions of the facets through it) and ``vertex_flags``.  The first read
+    Computed when the hull is made: the facet table, which is the library's
+    record of a facet, ``coplanarity_tol`` and ``vertex_flags``.  Row k of the
+    table is facet k: ``facet_points[k]`` (its sorted point tuple, in face-id
+    order), ``normals[k]`` and ``offsets[k]``; ``point_facets`` lists per
+    point the ascending positions of the facets through it.  The first read
     of ``facets``, ``faces``, ``children``, ``containing_face``,
-    ``face_by_points`` or ``facet_positions`` builds the lattice, once.
+    ``face_by_points`` or ``facet_positions`` builds the lattice, once;
+    ``facets`` holds a ``Facet`` record per row for callers that need the
+    face ids.
     """
 
     def __init__(self, config, facet_data: dict, coplanarity_tol):
@@ -96,13 +101,16 @@ class HullDescription:
             for p in s:
                 through[p].append(k)
         self.point_facets = [tuple(ks) for ks in through]
-        # A point is a vertex iff the facets through it meet in it alone.
+        # per point, the meet of the facets through it (None inside): the
+        # smallest face holding the point, which the lattice's containing_face
+        # looks up.  A point is a vertex iff that meet is the point alone.
         # Tuples come from lists: freed tuples that CPython built by resizing
         # (from a generator) pile up on its free lists, up to 2000 per length.
+        self._point_meets = [frozenset.intersection(*[sets[k] for k in ks]) if ks else None
+                             for ks in through]
         self.vertex_flags = tuple([
-            "interior" if not ks
-            else "vertex" if len(frozenset.intersection(*[sets[k] for k in ks])) == 1
-            else "boundary_nonvertex" for ks in through])
+            "interior" if m is None else "vertex" if len(m) == 1 else "boundary_nonvertex"
+            for m in self._point_meets])
         self._lock = threading.Lock()
         self._built = None
         self._face_basis_cache = {}
@@ -160,52 +168,10 @@ class HullDescription:
             basis = np.zeros((0, self.dim))
         else:
             diffs = pts[1:] - origin
-            _, sv, vh = np.linalg.svd(diffs, full_matrices=False)
+            _, _, vh = np.linalg.svd(diffs, full_matrices=False)
             basis = vh[:m]
         self._face_basis_cache[face_id] = (origin, basis)
         return origin, basis
-
-
-def _by_length(sets) -> dict:
-    """Positions of the sequences in ``sets``, grouped by length."""
-    groups = {}
-    for k, s in enumerate(sets):
-        groups.setdefault(len(s), []).append(k)
-    return groups
-
-
-def _affine_ranks(pts: np.ndarray, sets) -> np.ndarray:
-    """Affine rank of the points of each sorted index tuple: the number of
-    singular values of the differences from the first point above
-    ``DEFAULT_RANK_TOL`` x the largest, one stacked SVD per tuple length.  The
-    points are distinct, as a configuration's are, so one or two of them have
-    rank 0 or 1."""
-    ranks = np.zeros(len(sets), dtype=int)
-    for m, where in _by_length(sets).items():
-        if m < 3:
-            ranks[where] = m - 1
-            continue
-        sub = pts[np.array([sets[k] for k in where])]
-        sv = np.linalg.svd(sub[:, 1:] - sub[:, :1], compute_uv=False)
-        ranks[where] = np.count_nonzero(sv > DEFAULT_RANK_TOL * sv[:, :1], axis=1)
-    return ranks
-
-
-def _fit_hyperplanes(pts: np.ndarray, sets):
-    """Best-fit unit normals (k, d) and offsets (k,) through the points of each
-    sorted index tuple of affine rank d-1: per tuple length, one stacked SVD of
-    the centred points, whose last right singular vectors are the normals."""
-    normals = np.empty((len(sets), pts.shape[1]))
-    offsets = np.empty(len(sets))
-    for where in _by_length(sets).values():
-        sub = pts[np.array([sets[k] for k in where])]
-        center = sub.mean(axis=1)
-        _, _, vh = np.linalg.svd(sub - center[:, None], full_matrices=True)
-        normal = vh[:, -1]
-        normals[where] = normal
-        # a stack of (1, d) @ (d, 1) products is one dot per fit
-        offsets[where] = (normal[:, None] @ center[:, :, None])[:, 0, 0]
-    return normals, offsets
 
 
 def _supporting(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float):
@@ -323,36 +289,32 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
 
 
 def _build_lattice(hull: HullDescription) -> _Lattice:
-    """The face lattice of a hull, from its facets."""
+    """The face lattice of a hull, from its facet table."""
     pts, d, n = hull.config.points, hull.dim, hull.config.n_points
-    facet_data = {frozenset(t): (hull.normals[k], float(hull.offsets[k]))
-                  for k, t in enumerate(hull.facet_points)}
+    facet_sets = [frozenset(t) for t in hull.facet_points]
 
     # face lattice: closure of facet point-sets under intersection.  Every
     # face is an intersection of facets, and two sets meet only through a
     # shared point, so each new set is intersected with the facets through
     # its points.
-    facets_through = [[] for _ in range(n)]
-    for s in facet_data:
-        for p in s:
-            facets_through[p].append(s)
-    face_sets = set(facet_data)
-    frontier = list(facet_data)
+    face_sets = set(facet_sets)
+    frontier = facet_sets
     while frontier:
         frontier = {a & b for a in frontier
-                    for b in {f for p in a for f in facets_through[p]}} - face_sets
+                    for b in {facet_sets[k] for p in a for k in hull.point_facets[p]}} - face_sets
         face_sets |= frontier
 
     # a facet's rank, d - 1, was checked in _find_facets
     points_of = {s: tuple(sorted(s)) for s in face_sets}
-    lower = [s for s in face_sets if s not in facet_data]
+    lower = list(face_sets.difference(facet_sets))
     dims = dict(zip(lower, _affine_ranks(pts, [points_of[s] for s in lower]).tolist()))
-    dims.update(dict.fromkeys(facet_data, d - 1))
+    dims.update(dict.fromkeys(facet_sets, d - 1))
     ordered = sorted(face_sets, key=lambda s: (dims[s], points_of[s]))
     id_of = {s: k for k, s in enumerate(ordered)}
 
-    facets = [Facet(fid, points_of[s], *facet_data[s])
-              for fid, s in enumerate(ordered) if s in facet_data]
+    # the facets keep their sorted row order among the ordered faces
+    facets = [Facet(id_of[s], hull.facet_points[k], hull.normals[k], float(hull.offsets[k]))
+              for k, s in enumerate(facet_sets)]
     facet_ids = {f.face_id for f in facets}
 
     # the faces containing a face are those through all of its points
@@ -372,8 +334,7 @@ def _build_lattice(hull: HullDescription) -> _Lattice:
                 children[k].append(fid)
     children = {fid: tuple(kids) for fid, kids in children.items()}
 
-    containing_face = tuple([id_of[frozenset.intersection(*fs)] if fs else None
-                             for fs in facets_through])
+    containing_face = tuple([None if m is None else id_of[m] for m in hull._point_meets])
     return _Lattice(facets, faces, children, containing_face, id_of,
                     {f.face_id: k for k, f in enumerate(facets)})
 
@@ -549,6 +510,13 @@ def _fan_samples(verts: np.ndarray, local: np.ndarray, count: int, rng) -> np.nd
     return out
 
 
+def _segment_ends(pts: np.ndarray) -> tuple:
+    """The two end points of collinear points (rows): the extremes of their
+    projections onto the line from the first point to the last."""
+    t = pts @ (pts[-1] - pts[0])
+    return pts[int(np.argmin(t))], pts[int(np.argmax(t))]
+
+
 def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.ndarray:
     """Uniform samples on one face polytope (deterministic given the rng state)."""
     face = hull.faces[face_id]
@@ -556,9 +524,7 @@ def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.
     if face.dim == 0:
         return np.repeat(pts[:1], count, axis=0)
     if face.dim == 1:
-        axis = pts[-1] - pts[0]
-        t = pts @ axis
-        a, b = pts[int(np.argmin(t))], pts[int(np.argmax(t))]
+        a, b = _segment_ends(pts)
         u = rng.random(count)
         return a[None, :] + u[:, None] * (b - a)[None, :]
     if face.dim == 2:

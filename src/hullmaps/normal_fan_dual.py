@@ -23,16 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionUnsupportedError, TooManyPointsError
-from .geom_core import MAX_POINTS, build_configuration
-from .hull_oracle import (
-    _SLACK_BLOCK,
-    Face,
-    HullDescription,
-    _by_length,
-    _faces_below,
-    _hull_facets,
-    build_hull,
-)
+from .geom_core import MAX_POINTS, _by_length, _fit_hyperplanes, _rowdot, build_configuration
+from .hull_oracle import (_SLACK_BLOCK, Face, HullDescription, _faces_below, _hull_facets,
+                          build_hull)
 
 FLATTEN_PLANARITY_TOL = 1e-7
 
@@ -81,13 +74,6 @@ def spherical_dual(hull: HullDescription) -> SphericalDualComplex:
         counts[c.cell_dim] += 1
     return SphericalDualComplex(cells=cells, incidence=tuple(sorted(pairs)),
                                 cell_counts=tuple(counts))
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot(a[k], b[k])`` for each row k, bitwise: a stack of (1, d) @ (d, 1)
-    products is one BLAS dot per row, where a matrix product would round
-    differently."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _stacks(hull: HullDescription, cells: list):
@@ -158,21 +144,15 @@ def _flattened_convex(hull: HullDescription, cells: list) -> bool:
     """Whether every vertex cell (its facet positions) is planar within
     ``FLATTEN_PLANARITY_TOL`` and its plane keeps every other facet normal
     strictly on the origin side."""
-    # each cell's best-fit plane, the cells of one size as one stacked SVD
-    planes = np.empty((len(cells), 3))
-    offsets = np.empty(len(cells))
+    # each cell's best-fit plane through its facet normals, facing away from
+    # the origin
+    planes, offsets = _fit_hyperplanes(hull.normals, cells)
+    flip = offsets < 0
+    planes[flip], offsets[flip] = -planes[flip], -offsets[flip]
     for where, _, dirs in _stacks(hull, cells):
-        center = dirs.mean(axis=1)
-        _, _, vh = np.linalg.svd(dirs - center[:, None], full_matrices=True)
-        normal = vh[:, -1]
-        offset = (dirs @ normal[:, :, None])[..., 0].mean(axis=1)
-        flip = offset < 0
-        normal = np.where(flip[:, None], -normal, normal)
-        offset = np.where(flip, -offset, offset)
-        slack = np.abs((dirs @ normal[:, :, None])[..., 0] - offset[:, None])
+        slack = np.abs((dirs @ planes[where][:, :, None])[..., 0] - offsets[where][:, None])
         if not (slack.max(axis=1) <= FLATTEN_PLANARITY_TOL).all():
             return False
-        planes[where], offsets[where] = normal, offset
 
     # every non-incident facet normal strictly on the origin side of each
     # plane, a block of cells at a time

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .boundary_map import evaluate_batch_array
+from .boundary_map import _validate, evaluate_batch_array
 from .errors import (
     DimensionUnsupportedError,
     EmptyProbeError,
@@ -88,10 +88,6 @@ class ConvergenceReport:
     records: tuple
     slope: float
     slope_residual: float
-
-    @property
-    def epsilons(self):
-        return [r.epsilon for r in self.records]
 
     @property
     def outer_dists(self):
@@ -166,8 +162,7 @@ def _validate_epsilons(epsilons) -> list:
     if not eps:
         raise ValueError("need at least one epsilon")
     for e in eps:
-        if not (0.0 < e <= 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1], got {e!r}")
+        _validate(e)
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be strictly decreasing")
     return eps
@@ -271,16 +266,15 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
         if len(edge.incident_facets) != 2:
             continue
         ka, kb = hull.facet_positions(edge.face_id)
-        fa, fb = hull.facets[ka], hull.facets[kb]
-        na, nb = fa.outward_normal, fb.outward_normal
+        na, nb = hull.normals[ka], hull.normals[kb]
         angle = float(np.arccos(np.clip(np.dot(na, nb), -1.0, 1.0)))
         if angle < 1e-9:
             continue
         if allowed_points is None:
             ok_a = ok_b = True
         else:
-            ok_a = frozenset(fa.vertex_indices) <= allowed_points
-            ok_b = frozenset(fb.vertex_indices) <= allowed_points
+            ok_a = frozenset(hull.facet_points[ka]) <= allowed_points
+            ok_b = frozenset(hull.facet_points[kb]) <= allowed_points
         sigmas = _dyadic_sigmas(eps, angle / 2.0)
         positions = set()
         if ok_a:
@@ -345,10 +339,10 @@ def theorem_sweep(config: PointConfiguration, hull: HullDescription, epsilons,
 
     def sources(eps):
         return [dirs_global] + [
-            cap_directions(facet.outward_normal, eps, COARSE_CAP_RADIUS,
+            cap_directions(normal, eps, COARSE_CAP_RADIUS,
                            cap_count_per_facet, ladder_cap_count,
                            global_plan.seed + 1 + 97 * k)
-            for k, facet in enumerate(hull.facets)
+            for k, normal in enumerate(hull.normals)
         ] + [arc_tube_directions(hull, eps)]
 
     records = _probe(config, epsilons, sources,

@@ -1,5 +1,6 @@
-"""The public surface of ``hullmaps``: what it exports, and that no module
-imports what it does not use."""
+"""The public surface of ``hullmaps``: what it exports, that no module
+imports what it does not use, and that no function assigns a name it does
+not read."""
 
 import ast
 import inspect
@@ -69,3 +70,28 @@ def test_every_sibling_import_is_used():
                    for name, line in _sibling_imports(tree, source.splitlines())
                    if name not in used]
     assert unused == []
+
+
+def _unread_names(tree: ast.Module):
+    """(function, name, line) per name a function assigns and never reads,
+    names starting with ``_`` aside; a nested function's reads count for the
+    function around it."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+        yield from ((fn.name, name, line) for name, line in stored.items()
+                    if not name.startswith("_") and name not in read)
+
+
+def test_every_assigned_name_is_read():
+    unread = [f"{path.name}:{line} {fn}: {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for fn, name, line in _unread_names(ast.parse(path.read_text()))]
+    assert unread == []

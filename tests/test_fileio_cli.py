@@ -89,7 +89,7 @@ def test_dual_descriptor_roundtrip(tmp_path, cube_hull):
     )
 
 
-def test_cmd_approx_writes_images_and_svg(tmp_path, tri_csv):
+def test_cmd_approx_writes_images_and_svg(tmp_path, tri_csv, lattice_builds):
     out = str(tmp_path / "img.csv")
     code = main(["approx", tri_csv, "--out", out, "--eps", "0.01",
                  "--samples", "500", "--render", "svg"])
@@ -98,6 +98,16 @@ def test_cmd_approx_writes_images_and_svg(tmp_path, tri_csv):
     assert images.shape == (500, 2)
     svg = (tmp_path / "img.svg").read_text()
     assert svg.startswith("<svg") and "polygon" in svg and "circle" in svg
+    # the render reads the facet table, not the face lattice
+    assert lattice_builds == []
+    # one dashed line per facet, from one of its vertices' circles to the other
+    centres = [tuple(ln.split('"')[1:4:2]) for ln in svg.splitlines()
+               if ln.startswith("<circle")]
+    lines = {frozenset([tuple(ln.split('"')[1:4:2]), tuple(ln.split('"')[5:8:2])])
+             for ln in svg.splitlines() if ln.startswith("<line")}
+    facets = build_hull(build_configuration(read_points_csv(tri_csv))).facet_points
+    assert svg.count("<line") == len(facets) == 3
+    assert lines == {frozenset([centres[i], centres[j]]) for i, j in facets}
 
 
 def test_svg_frame_scales_with_the_points(tmp_path):

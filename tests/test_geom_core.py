@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hullmaps import (
     DimensionMismatchError,
     DuplicatePointsError,
+    PointConfiguration,
     TooManyPointsError,
     build_configuration,
     is_nondegenerate,
@@ -202,6 +203,16 @@ def test_dimension_mismatch():
         build_configuration([[0.0, 0.0], [1.0, 2.0, 3.0]])
 
 
+@pytest.mark.parametrize("make, raw, error, match", [
+    (PointConfiguration, np.zeros(3), DimensionMismatchError, "2-d array"),
+    (PointConfiguration, np.zeros((3, 0)), DimensionMismatchError, "dimension must be >= 1"),
+    (build_configuration, [], ValueError, "at least two points"),
+], ids=["1-d array", "no coordinates", "no points"])
+def test_malformed_point_arrays_rejected(make, raw, error, match):
+    with pytest.raises(error, match=match):
+        make(raw)
+
+
 def test_antisymmetry_exact():
     rng = np.random.default_rng(11)
     cfg = build_configuration(rng.standard_normal((7, 3)))
@@ -261,6 +272,8 @@ def test_unit_vector_validation():
     assert v.shape == (2,)
     with pytest.raises(ValueError):
         unit_vector([0.6, 0.9])
+    with pytest.raises(DimensionMismatchError, match="single coordinate vector"):
+        unit_vector([[0.6, 0.8]])
 
 
 def test_points_csv_roundtrip(tmp_path):
@@ -277,4 +290,10 @@ def test_points_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("nope,3\n1,2,3\n")
     with pytest.raises(ValueError):
+        read_points_csv(path)
+    path.write_text("\n\n")
+    with pytest.raises(ValueError, match="empty points file"):
+        read_points_csv(path)
+    path.write_text("dim,3\n1,2,3\n1,2\n")
+    with pytest.raises(ValueError, match="does not have 3 coordinates"):
         read_points_csv(path)

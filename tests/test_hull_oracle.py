@@ -457,6 +457,10 @@ def test_sample_boundary_square(square_hull):
     pts, ids = sample_boundary(square_hull, per_facet=3, seed=1)
     assert pts.shape == (12, 2)
     assert distances_to_boundary(square_hull, pts).max() < 1e-12
+    with pytest.raises(ValueError, match="per_facet must be >= 1"):
+        sample_boundary(square_hull, per_facet=0)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sample_face_points(square_hull, square_hull.facets[0].face_id, count=0)
 
 
 def test_sample_boundary_tetrahedron(tetrahedron_hull):

@@ -448,3 +448,5 @@ def test_nonconvexity_guards(triangle, tetrahedron):
     gauss_plan = SamplePlan(dim=2, strategy="gaussian_random", count=100)
     with pytest.raises(ValueError):
         nonconvexity_probe(triangle, 0.1, gauss_plan)
+    with pytest.raises(ValueError, match="planar points"):
+        concave_turn_indices(tetrahedron.points)

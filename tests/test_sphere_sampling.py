@@ -56,6 +56,8 @@ def test_plan_validation():
         SamplePlan(dim=2, strategy="uniform_grid_2d", count=0)
     with pytest.raises(ValueError):
         SamplePlan(dim=2, strategy="no_such_strategy", count=5)
+    with pytest.raises(ValueError, match="dim >= 2"):
+        SamplePlan(dim=1, strategy="gaussian_random", count=5)
 
 
 def test_cap_single_sample_is_center():
