@@ -48,6 +48,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
         raise ValueError("--cap-center and --cap-radius must be given together")
     if args.cap_center is not None and args.strategy is not None:
         raise ValueError("--strategy does not apply to a cap sample (--cap-center)")
+    if args.tol_coplanar is not None and args.render != "svg":
+        raise ValueError("--tol-coplanar does not apply without --render svg")
     config = _load_config(args)
     render_dim = {"svg": 2, "obj": 3}.get(args.render)
     if render_dim is not None and config.dim != render_dim:
@@ -118,6 +120,8 @@ def cmd_dual(args: argparse.Namespace) -> int:
 def cmd_converge(args: argparse.Namespace) -> int:
     if args.degenerate and args.boundary_per_facet is not None:
         raise ValueError("--boundary-per-facet does not apply to --degenerate")
+    if args.degenerate and args.tol_coplanar is not None:
+        raise ValueError("--tol-coplanar does not apply to --degenerate")
     config = _load_config(args)
     plan = _make_plan(args, config.dim)
     if args.degenerate:

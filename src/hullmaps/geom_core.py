@@ -41,6 +41,18 @@ def unit_direction(coords, dim: int) -> np.ndarray:
     return unit_directions(v, dim)[0]
 
 
+def _rows(values, dim: int, what: str) -> np.ndarray:
+    """``values`` as float rows of length dim (a vector is one row), the shape
+    check of direction and point batches; else DimensionMismatchError."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim < 2:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DimensionMismatchError(f"{what} in R^{dim} must have shape (N, {dim}), "
+                                     f"got {np.shape(values)}")
+    return arr
+
+
 def unit_directions(dirs, dim: int) -> np.ndarray:
     """Unit directions in R^dim as a C-contiguous (N, dim) array; one vector is one row.
 
@@ -49,12 +61,7 @@ def unit_directions(dirs, dim: int) -> np.ndarray:
     This is the one unit-norm check: :func:`unit_vector` and
     :func:`unit_direction` return its row for their one direction.
     """
-    arr = np.ascontiguousarray(dirs, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise DimensionMismatchError(f"directions in R^{dim} must have shape (N, {dim}), "
-                                     f"got {np.shape(dirs)}")
+    arr = np.ascontiguousarray(_rows(dirs, dim, "directions"))
     if len(arr):
         nrm = np.linalg.norm(arr, axis=1)
         worst = float(np.abs(nrm - 1.0).max())

@@ -2,7 +2,11 @@
 and boundary queries.  Qhull proposes the facets and the configuration's own
 points fix them.  The face lattice, the closure of the facet point sets under
 intersection, is built on first use (``HullDescription`` names the reads that
-build it); in d >= 5 the face count, not n, sets its cost.
+build it); in d >= 5 the face count, not n, sets its cost.  Lower faces,
+classification, the arc tubes, the hull and dual documents and the face
+probes read it.  Boundary sampling and distances name a facet by its table
+row and a face by its point indices, and reach the lattice only when a
+projection misses its facet.
 
 The candidate facets are handled in batches.  Stacked fits: the point sets
 of one size (Qhull simplices, refit candidates, faces) share one
@@ -35,10 +39,12 @@ from scipy.spatial import ConvexHull
 from .errors import (
     AmbiguousTieError,
     DegenerateConfigurationError,
+    IndexOutOfRangeError,
     SamplingExhaustedError,
 )
 from .geom_core import (MAX_TRIES_PER_SAMPLE, PointConfiguration, _affine_ranks,
-                        _fit_hyperplanes, is_nondegenerate, unit_direction, unit_directions)
+                        _fit_hyperplanes, _rows, is_nondegenerate, unit_direction,
+                        unit_directions)
 
 DEFAULT_TOL_REL = 1e-9
 _SLACK_BLOCK = 65_536  # floats in one block's slack table (candidates x points)
@@ -84,7 +90,7 @@ class HullDescription:
     of ``facets``, ``faces``, ``children``, ``containing_face``,
     ``face_by_points`` or ``facet_positions`` builds the lattice, once;
     ``facets`` holds a ``Facet`` record per row for callers that need the
-    face ids.
+    face ids.  Nothing else is assigned after ``__init__``.
     """
 
     def __init__(self, config, facet_data: dict, coplanarity_tol):
@@ -113,7 +119,6 @@ class HullDescription:
             for m in self._point_meets])
         self._lock = threading.Lock()
         self._built = None
-        self._face_basis_cache = {}
 
     def _lattice(self) -> _Lattice:
         if self._built is None:
@@ -146,32 +151,6 @@ class HullDescription:
 
     def face_points(self, face_id: int) -> np.ndarray:
         return self.config.points[list(self.faces[face_id].vertex_indices)]
-
-    def face_extreme_points(self, face_id: int) -> np.ndarray:
-        """Coordinates of the face's points that are hull vertices."""
-        idx = [i for i in self.faces[face_id].vertex_indices
-               if self.vertex_flags[i] == "vertex"]
-        return self.config.points[idx]
-
-    def faces_of_dim(self, m: int):
-        return [f for f in self.faces if f.dim == m]
-
-    def _face_basis(self, face_id: int):
-        """(origin, orthonormal basis of the face's direction space)."""
-        cached = self._face_basis_cache.get(face_id)
-        if cached is not None:
-            return cached
-        pts = self.face_points(face_id)
-        origin = pts[0]
-        m = self.faces[face_id].dim
-        if m == 0:
-            basis = np.zeros((0, self.dim))
-        else:
-            diffs = pts[1:] - origin
-            _, _, vh = np.linalg.svd(diffs, full_matrices=False)
-            basis = vh[:m]
-        self._face_basis_cache[face_id] = (origin, basis)
-        return origin, basis
 
 
 def _supporting(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float):
@@ -268,18 +247,10 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
     Each simplex of Qhull's triangulated boundary (in d = 1, each point) is a
     candidate whose hyperplane is fitted, oriented outward and refitted over
     all points within ``coplanarity_tol`` of it (default 1e-9 x diameter).
-    The candidates are handled in batches, not one at a time:
-
-    - stacked fits: the rank SVDs and the hyperplane SVDs of all point sets
-      of one size are one ``np.linalg.svd`` call on a (k, m, d) stack;
-    - block slack tests: ``<pt, normal> - offset`` for a block of candidates
-      is one stacked matrix-vector product with the points, the block's table
-      capped at ``_SLACK_BLOCK`` floats so that memory does not grow with the
-      facet count.
-
+    The candidates are handled in batches, the stacked fits and block slack
+    tests of the module docstring, with the bits of one fit per candidate:
     NumPy's linalg gufunc runs the same LAPACK routine on each matrix of a
-    stack, and each slack row is the same BLAS product as for one candidate,
-    so the hull is bitwise the one a fit per candidate gives.
+    stack, and each slack row is the same BLAS product as for one candidate.
 
     Raises DegenerateConfigurationError if the points do not span R^d, and
     ValueError for a given tolerance that is not finite or is below
@@ -412,9 +383,26 @@ def _in_hull(hull: HullDescription, q: np.ndarray):
     return np.all(hull.offsets - q @ hull.normals.T >= -hull.coplanarity_tol, axis=-1)
 
 
-def _projection(hull: HullDescription, face_id: int, pts: np.ndarray):
-    """Per row x: (|x - proj_aff(G)(x)|, whether the projection lies in G)."""
-    origin, basis = hull._face_basis(face_id)
+def _face(hull: HullDescription, face_id: int) -> Face:
+    """The face with a given id, or IndexOutOfRangeError naming the face count."""
+    n = len(hull.faces)
+    if not 0 <= face_id < n:
+        raise IndexOutOfRangeError(f"face id {face_id} outside 0..{n - 1} ({n} faces)")
+    return hull.faces[face_id]
+
+
+def _frame(hull: HullDescription, points, m: int):
+    """(origin, orthonormal basis of the direction space) of the m-face on point indices."""
+    pts = hull.config.points[list(points)]
+    if m == 0:
+        return pts[0], np.zeros((0, hull.dim))
+    _, _, vh = np.linalg.svd(pts[1:] - pts[0], full_matrices=False)
+    return pts[0], vh[:m]
+
+
+def _projection(hull: HullDescription, points, m: int, pts: np.ndarray):
+    """Per row x: (|x - proj_aff(G)(x)|, whether it lies in G) for the m-face G on point indices."""
+    origin, basis = _frame(hull, points, m)
     q = origin + ((pts - origin) @ basis.T) @ basis
     return np.linalg.norm(pts - q, axis=1), _in_hull(hull, q)
 
@@ -428,6 +416,22 @@ def _faces_below(hull: HullDescription, face_id: int) -> set:
     return below
 
 
+def _to_face(hull: HullDescription, points, m: int, pts: np.ndarray) -> np.ndarray:
+    """Distances from rows to the m-face F on point indices (:func:`distances_to_face`);
+    only the rows whose projection misses F look F up in the lattice."""
+    dist, lands = _projection(hull, points, m, pts)
+    rest = np.flatnonzero(~lands)
+    if rest.size:
+        sub = pts[rest]
+        best = np.full(rest.size, np.inf)
+        for fid in _faces_below(hull, hull.face_by_points(points).face_id):
+            face = hull.faces[fid]
+            d, lands = _projection(hull, face.vertex_indices, face.dim, sub)
+            best[lands] = np.minimum(best[lands], d[lands])
+        dist[rest] = best
+    return dist
+
+
 def distances_to_face(hull: HullDescription, face_id: int, points) -> np.ndarray:
     """Vectorized distances from a batch of points to one face polytope F.
 
@@ -439,20 +443,12 @@ def distances_to_face(hull: HullDescription, face_id: int, points) -> np.ndarray
         dist(x, F) = min |x - proj_aff(G)(x)| over the faces G of F
                      (F included) whose projection passes the slack test.
 
-    F is tried first: a point whose projection lands in F is finished, and
-    only the others are projected onto the faces below F.
+    F is tried first, and only the points whose projection misses F go on to
+    the faces below it.  Raises IndexOutOfRangeError for an id that is not a
+    face's, and DimensionMismatchError for rows of another length than d.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dist, lands = _projection(hull, face_id, pts)
-    rest = np.flatnonzero(~lands)
-    if rest.size:
-        sub = pts[rest]
-        best = np.full(rest.size, np.inf)
-        for fid in _faces_below(hull, face_id):
-            d, lands = _projection(hull, fid, sub)
-            best[lands] = np.minimum(best[lands], d[lands])
-        dist[rest] = best
-    return dist
+    face = _face(hull, face_id)
+    return _to_face(hull, face.vertex_indices, face.dim, _rows(points, hull.dim, "points"))
 
 
 def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
@@ -465,9 +461,10 @@ def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
     lies on a facet that x violates: x - p is a nonnegative combination of
     the normals of the facets through p, and <x - p, x - p> > 0 makes one of
     those facets' slacks at x negative.  So each outside point takes the
-    smallest :func:`distances_to_face` over the facets it violates.
+    smallest :func:`distances_to_face` over the facet rows it violates.
+    Raises DimensionMismatchError for rows of another length than d.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _rows(points, hull.dim, "points")
     best = np.full(pts.shape[0], np.inf)
     violated = []
     for normal, offset in zip(hull.normals, hull.offsets):
@@ -477,8 +474,8 @@ def distances_to_boundary(hull: HullDescription, points) -> np.ndarray:
     best[best < 0.0] = np.inf
     for k, sel in enumerate(violated):
         if sel.size:
-            best[sel] = np.minimum(best[sel],
-                                   distances_to_face(hull, hull.facets[k].face_id, pts[sel]))
+            best[sel] = np.minimum(
+                best[sel], _to_face(hull, hull.facet_points[k], hull.dim - 1, pts[sel]))
     return best
 
 
@@ -517,39 +514,34 @@ def _segment_ends(pts: np.ndarray) -> tuple:
     return pts[int(np.argmin(t))], pts[int(np.argmax(t))]
 
 
-def _sample_on_face(hull: HullDescription, face_id: int, count: int, rng) -> np.ndarray:
-    """Uniform samples on one face polytope (deterministic given the rng state)."""
-    face = hull.faces[face_id]
-    pts = hull.face_points(face_id)
-    if face.dim == 0:
+def _sample_on_face(hull: HullDescription, points, m: int, count: int, rng, what: str):
+    """Uniform samples on the m-face on point indices (deterministic given the
+    rng state); ``what`` names it in the rejection sampler's error."""
+    pts = hull.config.points[list(points)]
+    if m == 0:
         return np.repeat(pts[:1], count, axis=0)
-    if face.dim == 1:
+    if m == 1:
         a, b = _segment_ends(pts)
-        u = rng.random(count)
-        return a[None, :] + u[:, None] * (b - a)[None, :]
-    if face.dim == 2:
-        verts = hull.face_extreme_points(face_id)
-        origin, basis = hull._face_basis(face_id)
-        return _fan_samples(verts, (verts - origin) @ basis.T, count, rng)
-    # higher dimension: Dirichlet for simplicial faces, bounding-box rejection otherwise
-    verts = hull.face_extreme_points(face_id)
-    if verts.shape[0] == face.dim + 1:
-        w = rng.dirichlet(np.ones(verts.shape[0]), size=count)
-        return w @ verts
-    origin, basis = hull._face_basis(face_id)
+        return a + rng.random(count)[:, None] * (b - a)
+    verts = hull.config.points[[i for i in points if hull.vertex_flags[i] == "vertex"]]
+    if m > 2 and verts.shape[0] == m + 1:  # a simplex: Dirichlet weights on its vertices
+        return rng.dirichlet(np.ones(m + 1), size=count) @ verts
+    origin, basis = _frame(hull, points, m)
     local = (verts - origin) @ basis.T
-    return _box_samples(hull, origin, basis, local.min(axis=0), local.max(axis=0), count, rng,
-                        f"face {face_id}")
+    if m == 2:
+        return _fan_samples(verts, local, count, rng)
+    return _box_samples(hull, origin, basis, local, count, rng, what)
 
 
 def _box_samples(hull: HullDescription, origin: np.ndarray, basis: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray, count: int, rng, what: str) -> np.ndarray:
-    """``count`` uniform samples of the hull inside the box ``[lo, hi]`` of
-    the frame ``origin + basis.T @ c``, by rejection with ``_in_hull``.
+                 local: np.ndarray, count: int, rng, what: str) -> np.ndarray:
+    """``count`` uniform samples of the hull in the bounding box of the rows
+    ``local``, coordinates c of ``origin + basis.T @ c``, by ``_in_hull`` rejection.
 
     Draws one box point at a time; raises SamplingExhaustedError, naming
     ``what``, after ``MAX_TRIES_PER_SAMPLE`` tries per requested sample.
     """
+    lo, hi = local.min(axis=0), local.max(axis=0)
     out = np.empty((count, hull.dim))
     filled = tries = 0
     while filled < count:
@@ -565,21 +557,19 @@ def _box_samples(hull: HullDescription, origin: np.ndarray, basis: np.ndarray,
 
 
 def sample_boundary(hull: HullDescription, per_facet: int, seed: int = 0):
-    """per_facet uniform samples on every facet; returns (points, facet ids)."""
+    """per_facet uniform samples on every facet; returns (points, each point's facet row)."""
     if per_facet < 1:
         raise ValueError("per_facet must be >= 1")
     rng = np.random.default_rng(seed)
-    chunks = []
-    ids = []
-    for facet in hull.facets:
-        chunks.append(_sample_on_face(hull, facet.face_id, per_facet, rng))
-        ids.extend([facet.face_id] * per_facet)
-    return np.vstack(chunks), ids
+    chunks = [_sample_on_face(hull, points, hull.dim - 1, per_facet, rng, f"facet {k}")
+              for k, points in enumerate(hull.facet_points)]
+    return np.vstack(chunks), np.repeat(np.arange(len(chunks)), per_facet)
 
 
 def sample_face_points(hull: HullDescription, face_id: int, count: int, seed: int = 0) -> np.ndarray:
-    """Uniform samples on an arbitrary face polytope."""
+    """Uniform samples on an arbitrary face polytope; IndexOutOfRangeError for a bad id."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    face = _face(hull, face_id)
     rng = np.random.default_rng(seed)
-    return _sample_on_face(hull, face_id, count, rng)
+    return _sample_on_face(hull, face.vertex_indices, face.dim, count, rng, f"face {face_id}")

@@ -29,6 +29,7 @@ from .geom_core import PointConfiguration, _affine_rank, build_configuration
 from .hull_oracle import (
     HullDescription,
     _box_samples,
+    _face,
     _fan_samples,
     _faces_below,
     _in_hull,
@@ -353,14 +354,6 @@ def theorem_sweep(config: PointConfiguration, hull: HullDescription, epsilons,
                              records=records, slope=slope, slope_residual=resid)
 
 
-def _face_center_direction(hull: HullDescription, face_id: int) -> np.ndarray:
-    axis = hull.normals[hull.facet_positions(face_id)].sum(axis=0)
-    nrm = np.linalg.norm(axis)
-    if nrm < 1e-12:
-        raise ValueError("degenerate cap center for face probe")
-    return axis / nrm
-
-
 def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id: int,
                      epsilons, cap_radius: float, count: int, seed: int,
                      center_face: int | None = None,
@@ -373,15 +366,20 @@ def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id:
     directions per rung; only directions classified inside the face's open
     neighborhood on the sphere are kept.  Per eps, ``outer_dist`` runs from
     the images to the face and ``inner_dist`` from face samples to the
-    images; ``n_samples`` counts the kept directions.
+    images; ``n_samples`` counts the kept directions.  Raises
+    IndexOutOfRangeError for a ``face_id`` or ``center_face`` that is not a face's.
     """
-    face = hull.faces[face_id]
+    face = _face(hull, face_id)
     if face.dim < 1:
         raise ValueError("face probes need a face of dimension >= 1")
 
     center_fid = face_id if center_face is None else center_face
-    center = _face_center_direction(hull, center_fid)
-    focus_set = frozenset(hull.faces[center_fid].vertex_indices)
+    focus_set = frozenset(_face(hull, center_fid).vertex_indices)
+    axis = hull.normals[hull.facet_positions(center_fid)].sum(axis=0)
+    nrm = np.linalg.norm(axis)
+    if nrm < 1e-12:
+        raise ValueError("degenerate cap center for face probe")
+    center = axis / nrm
     tube_edges = [fid for fid in _faces_below(hull, center_fid) | {center_fid}
                   if hull.faces[fid].dim == 1]
 
@@ -445,8 +443,8 @@ def degenerate_limit_probe(config: PointConfiguration, epsilons, plan: SamplePla
         verts = local[list(hull.vertices)]
         body = _fan_samples(verts, verts, body_samples, rng)
     else:
-        body = _box_samples(hull, np.zeros(hull.dim), np.eye(hull.dim), local.min(axis=0),
-                            local.max(axis=0), body_samples, rng, "span body")
+        body = _box_samples(hull, np.zeros(hull.dim), np.eye(hull.dim), local, body_samples,
+                            rng, "span body")
     dirs_global = sample(plan)
 
     def sources(eps):

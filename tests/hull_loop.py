@@ -184,7 +184,7 @@ def vertex_cells(hull: HullDescription) -> list:
     the facets through the vertex, their normals ordered by angle around the
     cone axis."""
     cells = []
-    for face in hull.faces_of_dim(0):
+    for face in [f for f in hull.faces if f.dim == 0]:
         positions = np.asarray(hull.facet_positions(face.face_id))
         gens = hull.normals[positions]
         axis = gens.sum(axis=0)

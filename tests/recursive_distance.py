@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hullmaps.hull_oracle import HullDescription
+from hullmaps.hull_oracle import HullDescription, _frame
 
 
 def _in_hull(hull: HullDescription, q: np.ndarray) -> bool:
@@ -28,7 +28,7 @@ def distance_to_face(hull: HullDescription, face_id: int, p) -> float:
     face = hull.faces[face_id]
     if face.dim == 0:
         return float(np.linalg.norm(p - hull.face_points(face_id)[0]))
-    origin, basis = hull._face_basis(face_id)
+    origin, basis = _frame(hull, face.vertex_indices, face.dim)
     q = origin + basis.T @ (basis @ (p - origin))
     if _in_hull(hull, q):
         return float(np.linalg.norm(p - q))

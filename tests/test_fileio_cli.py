@@ -244,6 +244,29 @@ def test_cmd_converge_degenerate_refuses_boundary_per_facet(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["converge", "--degenerate", "--samples", "50", "--eps-list", "0.1"], "to --degenerate"),
+    (["approx", "--samples", "50"], "without --render svg"),
+    (["approx", "--samples", "50", "--render", "obj"], "without --render svg"),
+], ids=["converge-degenerate", "approx", "approx-obj"])
+def test_cmd_refuses_tol_coplanar_where_unread(tmp_path, capsys, argv, why):
+    # the degenerate probe builds its span hull with its own tolerance, and
+    # approx builds a hull only to draw the svg
+    src = tmp_path / "col.csv"
+    write_points_csv(src, [[0, 0], [1, 1], [2, 2]])
+    out = tmp_path / "o.csv"
+    assert main([argv[0], str(src), "--out", str(out), *argv[1:], "--tol-coplanar", "1e-3"]) == 2
+    assert f"--tol-coplanar does not apply {why}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_approx_svg_reads_tol_coplanar(tmp_path, tri_csv):
+    out = tmp_path / "img.csv"
+    assert main(["approx", tri_csv, "--out", str(out), "--samples", "20", "--render", "svg",
+                 "--tol-coplanar", "1e-3"]) == 0
+    assert (tmp_path / "img.svg").read_text().count("<line") == 3
+
+
 def test_cmd_converge_rejects_zero_eps(tmp_path, tri_csv):
     code = main(["converge", tri_csv, "--out", str(tmp_path / "x.csv"),
                  "--eps-list", "0.1,0"])

@@ -13,6 +13,9 @@ from scipy.spatial import ConvexHull as SciHull
 from hullmaps import (
     AmbiguousTieError,
     DegenerateConfigurationError,
+    DimensionMismatchError,
+    IndexOutOfRangeError,
+    SamplePlan,
     SamplingExhaustedError,
     TooManyPointsError,
     build_configuration,
@@ -25,6 +28,7 @@ from hullmaps import (
     face_limit_probe,
     sample_boundary,
     sample_face_points,
+    theorem_sweep,
     write_points_csv,
 )
 from hullmaps import hull_oracle
@@ -164,6 +168,73 @@ def test_inside_distances_build_no_lattice(lattice_builds):
         assert np.isfinite(distances_to_boundary(hull, outside)).all()
         assert lattice_builds == [hull]
         lattice_builds.clear()
+        # just past facet 0's middle the projection lands in the facet: no
+        # lattice; past a vertex, along a normal of its cone, every facet
+        # projection misses and the lattice is built once
+        hull = build_hull(hull.config)
+        mid = hull.config.points[list(hull.facet_points[0])].mean(axis=0)
+        past_mid = mid + 1e-3 * hull.diameter * hull.normals[0]
+        got_mid = distances_to_boundary(hull, past_mid)[0]
+        assert lattice_builds == []
+        v = hull.vertices[0]
+        cone = hull.normals[list(hull.point_facets[v])].sum(axis=0)
+        past_vertex = hull.config.points[v] + 0.1 * hull.diameter * cone / np.linalg.norm(cone)
+        got_vertex = distances_to_boundary(hull, past_vertex)[0]
+        assert lattice_builds == [hull]
+        for got, x in ((got_mid, past_mid), (got_vertex, past_vertex)):
+            assert abs(got - recursive_boundary_distance(hull, x)[0]) <= 1e-12 * hull.diameter
+        lattice_builds.clear()
+
+
+def test_sweeps_in_d4_and_d5_build_no_lattice(monkeypatch, lattice_builds):
+    """Seeded sweeps in d = 4 and d = 5 name each facet by its row: their
+    outside images land in the facets they violate, and no lattice is built."""
+    to_face = hull_oracle._to_face
+    facet_calls = []
+    monkeypatch.setattr(hull_oracle, "_to_face",
+                        lambda *args: facet_calls.append(1) or to_face(*args))
+    for d, n in ((4, 12), (5, 10)):
+        cfg = random_configuration(np.random.default_rng(d), n, d)
+        plan = SamplePlan(dim=d, strategy="gaussian_random", count=200, seed=0)
+        theorem_sweep(cfg, build_hull(cfg), [1e-2, 1e-10], plan, 2,
+                      cap_count_per_facet=30, ladder_cap_count=10)
+    assert facet_calls and lattice_builds == []
+
+
+def test_sample_boundary_returns_facet_rows(lattice_builds):
+    """Sample i lies within ``coplanarity_tol`` of the plane of its facet row
+    ``rows[i]``, in d = 2..5 and with no lattice built; simplices, the cube's
+    squares (fan) and the 4-cube's cubes (box rejection) among the facets."""
+    rng = np.random.default_rng(37)
+    configs = [random_configuration(rng, d + 6, d) for d in (2, 3, 4, 5)]
+    configs += [build_configuration(list(itertools.product((-1.0, 1.0), repeat=d)))
+                for d in (3, 4)]
+    for cfg in configs:
+        hull = build_hull(cfg)
+        pts, rows = sample_boundary(hull, 4, seed=cfg.dim)
+        assert rows.tolist() == [k for k in range(len(hull.normals)) for _ in range(4)]
+        slack = np.einsum("ij,ij->i", pts, hull.normals[rows]) - hull.offsets[rows]
+        assert np.abs(slack).max() <= hull.coplanarity_tol
+    assert lattice_builds == []
+
+
+def test_face_ids_outside_the_faces_rejected(triangle, triangle_hull):
+    """An id of -1 or of the face count names no face: IndexOutOfRangeError,
+    not the last face or a bare IndexError or KeyError."""
+    n = len(triangle_hull.faces)
+    edge = next(f for f in triangle_hull.faces if f.dim == 1).face_id
+    for bad in (-1, n):
+        msg = rf"face id {bad} outside 0\.\.{n - 1} \({n} faces\)"
+        for call in (
+            lambda: distances_to_face(triangle_hull, bad, [[0.2, 0.2]]),
+            lambda: distances_to_face(triangle_hull, bad, [[5.0, 5.0]]),
+            lambda: sample_face_points(triangle_hull, bad, 3),
+            lambda: face_limit_probe(triangle, triangle_hull, bad, [1e-2], 0.1, 10, 0),
+            lambda: face_limit_probe(triangle, triangle_hull, edge, [1e-2], 0.1, 10, 0,
+                                     center_face=bad),
+        ):
+            with pytest.raises(IndexOutOfRangeError, match=msg):
+                call()
 
 
 def test_vertices_match_scipy():
@@ -197,7 +268,7 @@ def test_size_limits_follow_map_contract(tmp_path):
 def test_unit_sphere_hull_at_point_limit():
     pts = _unit_sphere(np.random.default_rng(2), 1000, 3)
     hull = build_hull(build_configuration(pts))
-    by_dim = [len(hull.faces_of_dim(m)) for m in range(3)]
+    by_dim = [len([f for f in hull.faces if f.dim == m]) for m in range(3)]
     assert by_dim[0] - by_dim[1] + by_dim[2] == 2
     assert set(hull.vertices) == set(SciHull(pts).vertices.tolist())
     slack = hull.offsets[:, None] - hull.normals @ pts.T
@@ -461,6 +532,14 @@ def test_sample_boundary_square(square_hull):
         sample_boundary(square_hull, per_facet=0)
     with pytest.raises(ValueError, match="count must be >= 1"):
         sample_face_points(square_hull, square_hull.facets[0].face_id, count=0)
+    # point rows of another length than d = 2; an empty (0, 2) batch is fine
+    for bad in (np.zeros((2, 3)), [], np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatchError, match=r"R\^2"):
+            distances_to_boundary(square_hull, bad)
+        with pytest.raises(DimensionMismatchError, match=r"R\^2"):
+            distances_to_face(square_hull, square_hull.facets[0].face_id, bad)
+    assert distances_to_boundary(square_hull, np.zeros((0, 2))).shape == (0,)
+    assert distances_to_face(square_hull, 0, np.zeros((0, 2))).shape == (0,)
 
 
 def test_sample_boundary_tetrahedron(tetrahedron_hull):
