@@ -50,6 +50,9 @@ def cmd_approx(args: argparse.Namespace) -> int:
         raise ValueError("--strategy does not apply to a cap sample (--cap-center)")
     if args.tol_coplanar is not None and args.render != "svg":
         raise ValueError("--tol-coplanar does not apply without --render svg")
+    if args.render in ("svg", "obj") and _with_suffix(args.out, "." + args.render) == args.out:
+        raise ValueError(f"--out {args.out} is the {args.render} render's own path; "
+                         "give the image CSV another suffix")
     config = _load_config(args)
     render_dim = {"svg": 2, "obj": 3}.get(args.render)
     if render_dim is not None and config.dim != render_dim:

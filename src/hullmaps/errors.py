@@ -14,7 +14,7 @@ class DuplicatePointsError(HullMapsError):
 
 
 class IndexOutOfRangeError(HullMapsError, IndexError):
-    """A point index is outside the configuration, or a face id outside the faces."""
+    """A face id is outside the hull's faces."""
 
 
 class StrategyDimensionMismatchError(HullMapsError):

@@ -4,9 +4,10 @@ points fix them.  The face lattice, the closure of the facet point sets under
 intersection, is built on first use (``HullDescription`` names the reads that
 build it); in d >= 5 the face count, not n, sets its cost.  Lower faces,
 classification, the arc tubes, the hull and dual documents and the face
-probes read it.  Boundary sampling and distances name a facet by its table
-row and a face by its point indices, and reach the lattice only when a
-projection misses its facet.
+probes read it.  A facet is a row of the facet table, in the lattice too: a
+face lists the rows of the facets through it.  Boundary sampling and
+distances name a face by its point indices, and reach the lattice only when
+a projection misses its facet.
 
 The candidate facets are handled in batches.  Stacked fits: the point sets
 of one size (Qhull simplices, refit candidates, faces) share one
@@ -62,12 +63,13 @@ class Facet:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of any dimension, identified by its configuration point set."""
+    """A face of any dimension, identified by its configuration point set;
+    ``facet_rows`` are the ascending facet-table rows of the facets through it."""
 
     face_id: int
     dim: int
     vertex_indices: tuple
-    incident_facets: tuple
+    facet_rows: tuple
 
 
 class _Lattice(NamedTuple):  # a hull's face lattice, from _build_lattice
@@ -76,7 +78,6 @@ class _Lattice(NamedTuple):  # a hull's face lattice, from _build_lattice
     children: dict  # face_id -> tuple of covered face_ids
     containing_face: tuple
     face_ids: dict  # frozenset of points -> face_id
-    facet_position: dict  # facet face_id -> position in facets
 
 
 class HullDescription:
@@ -87,10 +88,11 @@ class HullDescription:
     table is facet k: ``facet_points[k]`` (its sorted point tuple, in face-id
     order), ``normals[k]`` and ``offsets[k]``; ``point_facets`` lists per
     point the ascending positions of the facets through it.  The first read
-    of ``facets``, ``faces``, ``children``, ``containing_face``,
-    ``face_by_points`` or ``facet_positions`` builds the lattice, once;
-    ``facets`` holds a ``Facet`` record per row for callers that need the
-    face ids.  Nothing else is assigned after ``__init__``.
+    of ``facets``, ``faces``, ``children``, ``containing_face`` or
+    ``face_by_points`` builds the lattice, once; ``facets[k]`` is a ``Facet``
+    record of row k for callers that need the face ids, and a face names its
+    facets by row (``Face.facet_rows``).  Nothing else is assigned after
+    ``__init__``.
     """
 
     def __init__(self, config, facet_data: dict, coplanarity_tol):
@@ -143,11 +145,6 @@ class HullDescription:
     def face_by_points(self, indices):
         fid = self._lattice().face_ids.get(frozenset(indices))
         return None if fid is None else self.faces[fid]
-
-    def facet_positions(self, face_id: int) -> list:
-        """Positions in ``facets`` (rows of ``normals``) of the facets through a face."""
-        position = self._lattice().facet_position
-        return [position[fid] for fid in self.faces[face_id].incident_facets]
 
     def face_points(self, face_id: int) -> np.ndarray:
         return self.config.points[list(self.faces[face_id].vertex_indices)]
@@ -283,10 +280,11 @@ def _build_lattice(hull: HullDescription) -> _Lattice:
     ordered = sorted(face_sets, key=lambda s: (dims[s], points_of[s]))
     id_of = {s: k for k, s in enumerate(ordered)}
 
-    # the facets keep their sorted row order among the ordered faces
+    # the facets keep their sorted row order among the ordered faces, so
+    # ascending facet ids are ascending rows
     facets = [Facet(id_of[s], hull.facet_points[k], hull.normals[k], float(hull.offsets[k]))
               for k, s in enumerate(facet_sets)]
-    facet_ids = {f.face_id for f in facets}
+    row_of = {f.face_id: k for k, f in enumerate(facets)}
 
     # the faces containing a face are those through all of its points
     faces_through = [set() for _ in range(n)]
@@ -299,15 +297,14 @@ def _build_lattice(hull: HullDescription) -> _Lattice:
     for fid, s in enumerate(ordered):
         above = set.intersection(*(faces_through[p] for p in s))
         faces.append(Face(face_id=fid, dim=dim_of[fid], vertex_indices=points_of[s],
-                          incident_facets=tuple(sorted(above & facet_ids))))
+                          facet_rows=tuple(sorted([row_of[k] for k in above if k in row_of]))))
         for k in above:
             if dim_of[k] == dim_of[fid] + 1:
                 children[k].append(fid)
     children = {fid: tuple(kids) for fid, kids in children.items()}
 
     containing_face = tuple([None if m is None else id_of[m] for m in hull._point_meets])
-    return _Lattice(facets, faces, children, containing_face, id_of,
-                    {f.face_id: k for k, f in enumerate(facets)})
+    return _Lattice(facets, faces, children, containing_face, id_of)
 
 
 def _tie_tol(hull: HullDescription, tie_tol: float | None) -> float:

@@ -61,7 +61,7 @@ class DualCheckResult:
 
 def _cell(hull: HullDescription, face: Face) -> DualCell:
     return DualCell(face_id=face.face_id, face_dim=face.dim, cell_dim=hull.dim - face.dim - 1,
-                    vertex_dirs=hull.normals[hull.facet_positions(face.face_id)])
+                    vertex_dirs=hull.normals[list(face.facet_rows)])
 
 
 def spherical_dual(hull: HullDescription) -> SphericalDualComplex:

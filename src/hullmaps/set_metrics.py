@@ -228,8 +228,7 @@ def _dyadic_sigmas(eps: float, half_angle: float) -> list:
     return sigmas
 
 
-def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
-                        allowed_points=None) -> np.ndarray:
+def arc_tube_directions(hull: HullDescription, eps: float, within=None) -> np.ndarray:
     """Directions in thin tubes around the spherical-dual arcs of edges (d = 3).
 
     Blends between the two vertices of an edge happen within an O(eps)-thick
@@ -238,11 +237,11 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
     positions with geometrically spaced transverse offsets therefore cover
     edge and facet interiors that isotropic caps miss.
 
-    ``allowed_points`` (a set of configuration indices) restricts arc
-    positions near an endpoint to endpoints whose facet lies inside that
-    point set: at finite eps, directions eps-close to a facet normal map
-    near that facet, so a face-limit probe must not approach the normals of
-    outside facets.
+    ``within`` (a set of configuration indices, None for all of them) keeps
+    the edges whose points it contains, and arc positions near an endpoint
+    only where it contains that endpoint's facet: at finite eps, directions
+    eps-close to a facet normal map near that facet, so a face-limit probe
+    must not approach the normals of outside facets.
 
     Rows come per edge, arc positions in increasing order, and per position
     the transverse offsets tau in ``_geometric_tau_offsets`` order.  Each
@@ -254,28 +253,26 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
     """
     if hull.dim != 3:
         return np.empty((0, hull.dim))
-    edges = [f for f in hull.faces if f.dim == 1]
-    if face_ids is not None:
-        wanted = set(face_ids)
-        edges = [e for e in edges if e.face_id in wanted]
+    edges = [f for f in hull.faces
+             if f.dim == 1 and (within is None or within.issuperset(f.vertex_indices))]
 
     taus = _geometric_tau_offsets(eps)
     cos_tau = np.array([np.cos(tau) for tau in taus])[:, None]
     sin_tau = np.array([np.sin(tau) for tau in taus])[:, None]
     out = []
     for edge in edges:
-        if len(edge.incident_facets) != 2:
+        if len(edge.facet_rows) != 2:
             continue
-        ka, kb = hull.facet_positions(edge.face_id)
+        ka, kb = edge.facet_rows
         na, nb = hull.normals[ka], hull.normals[kb]
         angle = float(np.arccos(np.clip(np.dot(na, nb), -1.0, 1.0)))
         if angle < 1e-9:
             continue
-        if allowed_points is None:
+        if within is None:
             ok_a = ok_b = True
         else:
-            ok_a = frozenset(hull.facet_points[ka]) <= allowed_points
-            ok_b = frozenset(hull.facet_points[kb]) <= allowed_points
+            ok_a = within.issuperset(hull.facet_points[ka])
+            ok_b = within.issuperset(hull.facet_points[kb])
         sigmas = _dyadic_sigmas(eps, angle / 2.0)
         positions = set()
         if ok_a:
@@ -373,23 +370,20 @@ def face_limit_probe(config: PointConfiguration, hull: HullDescription, face_id:
     if face.dim < 1:
         raise ValueError("face probes need a face of dimension >= 1")
 
-    center_fid = face_id if center_face is None else center_face
-    focus_set = frozenset(_face(hull, center_fid).vertex_indices)
-    axis = hull.normals[hull.facet_positions(center_fid)].sum(axis=0)
+    focus = face if center_face is None else _face(hull, center_face)
+    axis = hull.normals[list(focus.facet_rows)].sum(axis=0)
     nrm = np.linalg.norm(axis)
     if nrm < 1e-12:
         raise ValueError("degenerate cap center for face probe")
     center = axis / nrm
-    tube_edges = [fid for fid in _faces_below(hull, center_fid) | {center_fid}
-                  if hull.faces[fid].dim == 1]
+    within = frozenset(focus.vertex_indices)
 
     allowed = list(_faces_below(hull, face_id) | {face_id})
     face_pts = sample_face_points(hull, face_id, face_sample_count, face_seed)
 
     def sources(eps):
         dirs = np.vstack([cap_directions(center, eps, cap_radius, count, count, seed),
-                          arc_tube_directions(hull, eps, face_ids=tube_edges,
-                                              allowed_points=focus_set)])
+                          arc_tube_directions(hull, eps, within)])
         keep = np.isin(classify_directions_bulk(hull, dirs), allowed)
         if not np.any(keep):
             raise EmptyProbeError(f"no probe directions landed in the open set of face {face_id}")
@@ -413,7 +407,8 @@ def _span_hull(config: PointConfiguration) -> tuple:
     pts = config.points
     k = _affine_rank(pts)
     if k == config.dim:
-        raise RequiresDegenerateError("configuration spans R^d; use theorem_sweep instead")
+        raise RequiresDegenerateError(
+            "configuration spans R^d; use theorem_sweep, or converge without --degenerate")
     mean = pts.mean(axis=0)
     centered = pts - mean
     _, _, vh = np.linalg.svd(centered, full_matrices=True)

@@ -23,7 +23,6 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
     """Directions in thin tubes around the spherical-dual arcs of edges (d = 3)."""
     if hull.dim != 3:
         return np.empty((0, hull.dim))
-    facet_by_id = {f.face_id: f for f in hull.facets}
     edges = [f for f in hull.faces if f.dim == 1]
     if face_ids is not None:
         wanted = set(face_ids)
@@ -32,10 +31,9 @@ def arc_tube_directions(hull: HullDescription, eps: float, face_ids=None,
     taus = _geometric_tau_offsets(eps)
     out = []
     for edge in edges:
-        if len(edge.incident_facets) != 2:
+        if len(edge.facet_rows) != 2:
             continue
-        fa = facet_by_id[edge.incident_facets[0]]
-        fb = facet_by_id[edge.incident_facets[1]]
+        fa, fb = (hull.facets[row] for row in edge.facet_rows)
         na, nb = fa.outward_normal, fb.outward_normal
         angle = float(np.arccos(np.clip(np.dot(na, nb), -1.0, 1.0)))
         if angle < 1e-9:

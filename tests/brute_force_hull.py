@@ -92,9 +92,9 @@ def brute_force_hull(config: PointConfiguration, coplanarity_tol: float | None =
     faces = []
     for s in ordered:
         fid = id_of[s]
-        inc = tuple(sorted(id_of[fs] for fs in facet_sets if s <= fs))
+        rows = tuple(k for k, fs in enumerate(facet_sets) if s <= fs)
         faces.append(Face(face_id=fid, dim=dims[s],
-                          vertex_indices=tuple(sorted(s)), incident_facets=inc))
+                          vertex_indices=tuple(sorted(s)), facet_rows=rows))
 
     children = {}
     for s in ordered:
@@ -126,8 +126,8 @@ def assert_same_hull(hull: HullDescription, oracle: OracleHull) -> None:
         assert f.face_id == g.face_id
         assert f.outward_normal.tobytes() == g.outward_normal.tobytes()
         assert f.offset == g.offset
-    assert ([(f.face_id, f.dim, f.vertex_indices, f.incident_facets) for f in hull.faces]
-            == [(f.face_id, f.dim, f.vertex_indices, f.incident_facets) for f in oracle.faces])
+    assert ([(f.face_id, f.dim, f.vertex_indices, f.facet_rows) for f in hull.faces]
+            == [(f.face_id, f.dim, f.vertex_indices, f.facet_rows) for f in oracle.faces])
     assert hull.children == oracle.children
     assert hull.vertex_flags == oracle.vertex_flags
     assert hull.containing_face == oracle.containing_face

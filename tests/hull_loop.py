@@ -146,7 +146,6 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
 
     facets = [Facet(fid, tuple(sorted(s)), *facet_data[s])
               for fid, s in enumerate(ordered) if s in facet_data]
-    facet_ids = {f.face_id for f in facets}
 
     # the faces containing a face are those through all of its points
     faces_through = [set() for _ in range(n)]
@@ -158,7 +157,8 @@ def build_hull(config: PointConfiguration, coplanarity_tol: float | None = None)
     for fid, s in enumerate(ordered):
         above = set.intersection(*(faces_through[p] for p in s))
         faces.append(Face(face_id=fid, dim=dims[s], vertex_indices=tuple(sorted(s)),
-                          incident_facets=tuple(sorted(above & facet_ids))))
+                          facet_rows=tuple(k for k, f in enumerate(facets)
+                                           if f.face_id in above)))
         for k in above:
             if dims[ordered[k]] == dims[s] + 1:
                 children[k].append(fid)
@@ -185,7 +185,7 @@ def vertex_cells(hull: HullDescription) -> list:
     cone axis."""
     cells = []
     for face in [f for f in hull.faces if f.dim == 0]:
-        positions = np.asarray(hull.facet_positions(face.face_id))
+        positions = np.asarray(face.facet_rows)
         gens = hull.normals[positions]
         axis = gens.sum(axis=0)
         nrm = np.linalg.norm(axis)

@@ -1,9 +1,10 @@
 """The public surface of ``hullmaps``: what it exports, that no module
-imports what it does not use, and that no function assigns a name it does
-not read."""
+imports what it does not use, that no function assigns a name it does not
+read, and that every function, method and property it defines has a reader."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import hullmaps
@@ -34,6 +35,7 @@ NOT_EXPORTED = [
 ]
 
 PACKAGE = Path(hullmaps.__file__).resolve().parent
+REPO = PACKAGE.parents[1]
 
 
 def test_public_names_are_pinned():
@@ -94,4 +96,52 @@ def test_every_assigned_name_is_read():
     unread = [f"{path.name}:{line} {fn}: {name}"
               for path in sorted(PACKAGE.glob("*.py"))
               for fn, name, line in _unread_names(ast.parse(path.read_text()))]
+    assert unread == []
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) per function, method and property a
+    module defines, dunder methods aside; a property is a ``def`` or a class
+    attribute assigned from ``property(...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+                        and getattr(stmt.value.func, "id", None) == "property"):
+                    for target in stmt.targets:
+                        yield target.id, stmt.lineno, stmt.end_lineno
+
+
+def _references():
+    """{name: [(source, line), ...]} of every name read or attribute taken in
+    src/, tests/, perfbench/ and README.md's ``python`` blocks."""
+    sources = [(str(path), path.read_text()) for base in ("src", "tests", "perfbench")
+               for path in sorted((REPO / base).rglob("*.py"))]
+    readme = (REPO / "README.md").read_text()
+    sources += [(f"README.md block {k}", block) for k, block in
+                enumerate(re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S))]
+    refs = {}
+    for where, source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((where, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((where, node.lineno))
+    return refs
+
+
+def test_every_definition_has_a_reader():
+    """A function, method or property of the package is referenced by name
+    somewhere outside its own definition."""
+    refs = _references()
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, first, last in _definitions(ast.parse(path.read_text())):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if all(where == str(path) and first <= line <= last
+                   for where, line in refs.get(name, [])):
+                unread.append(f"{path.name}:{first} {name}")
     assert unread == []

@@ -14,21 +14,27 @@ from tests.conftest import random_configuration
 EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
-def _assert_bitwise(hull, eps, **kwargs):
-    got = arc_tube_directions(hull, eps, **kwargs)
-    want = loop_arc_tube_directions(hull, eps, **kwargs)
+def _kept_edges(hull, within):
+    """The edges whose points ``within`` contains (every edge for None)."""
+    return [e for e in hull.faces
+            if e.dim == 1 and (within is None or set(e.vertex_indices) <= within)]
+
+
+def _assert_bitwise(hull, eps, within=None):
+    """The array form with ``within`` against the loop oracle given the kept
+    edges' ids and ``within`` as the points its endpoint facets must lie in."""
+    got = arc_tube_directions(hull, eps, within)
+    face_ids = None if within is None else [e.face_id for e in _kept_edges(hull, within)]
+    want = loop_arc_tube_directions(hull, eps, face_ids=face_ids, allowed_points=within)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     return got
 
 
-def _endpoint_use(hull, face_ids, allowed):
-    """Per selected edge, which of its two facet endpoints ``allowed`` admits."""
-    by_id = {f.face_id: f for f in hull.facets}
-    return {
-        tuple(frozenset(by_id[fid].vertex_indices) <= allowed for fid in e.incident_facets)
-        for e in hull.faces if e.dim == 1 and e.face_id in face_ids
-    }
+def _endpoint_use(hull, within):
+    """Per kept edge, which of its two facet endpoints ``within`` admits."""
+    return {tuple(within is None or set(hull.facet_points[k]) <= within for k in e.facet_rows)
+            for e in _kept_edges(hull, within)}
 
 
 @pytest.mark.parametrize("seed, n", [(0, 6), (2, 10)])
@@ -39,21 +45,19 @@ def test_arc_tubes_match_loop(seed, n):
 
 
 def test_arc_tubes_match_loop_on_every_branch():
-    """Edge subsets whose arcs use one endpoint (either one), both, or neither."""
+    """``within`` values whose kept arcs use one endpoint (either one), both,
+    or neither: None, each face's points, and the points of two adjacent
+    facets (their shared edge uses both endpoints)."""
     hull = build_hull(random_configuration(np.random.default_rng(3), 12, 3))
-    edges = [f.face_id for f in hull.faces if f.dim == 1]
-    every_use = set(itertools.product((True, False), repeat=2))
-    # the points of two adjacent facets: their shared edge uses both
-    # endpoints, the other edges of the two one endpoint, the rest neither
-    allowed = next(
-        a for a in (frozenset(fa.vertex_indices) | frozenset(fb.vertex_indices)
-                    for fa, fb in itertools.combinations(hull.facets, 2)
-                    if len(set(fa.vertex_indices) & set(fb.vertex_indices)) == 2)
-        if _endpoint_use(hull, edges, a) == every_use)
+    pair = next(frozenset(a) | frozenset(b)
+                for a, b in itertools.combinations(hull.facet_points, 2)
+                if len(set(a) & set(b)) == 2)
+    withins = [None] + [frozenset(f.vertex_indices) for f in hull.faces] + [pair]
+    assert (set().union(*(_endpoint_use(hull, w) for w in withins))
+            == set(itertools.product((True, False), repeat=2)))
     for eps in EPSILONS:
-        _assert_bitwise(hull, eps, face_ids=edges, allowed_points=allowed)
-        _assert_bitwise(hull, eps, face_ids=edges[::3], allowed_points=allowed)
-        _assert_bitwise(hull, eps, face_ids=edges[::2])
+        for within in withins:
+            _assert_bitwise(hull, eps, within)
 
 
 def test_arc_tubes_match_loop_on_sweep_configuration():

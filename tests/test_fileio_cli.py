@@ -326,6 +326,25 @@ def test_cmd_approx_render_dimension_checked_before_writing(tmp_path, cube_csv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["col.csv", "cube.csv", "tri.csv"]
 
 
+@pytest.mark.parametrize("render, out", [("svg", "img.svg"), ("obj", "cloud.obj")])
+def test_cmd_approx_refuses_out_at_the_render_path(tmp_path, tri_csv, cube_csv, capsys,
+                                                   render, out):
+    # the render would be written over the image CSV at the same path
+    src = tri_csv if render == "svg" else cube_csv
+    assert main(["approx", src, "--out", str(tmp_path / out), "--samples", "50",
+                 "--render", render]) == 2
+    assert f"is the {render} render's own path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.csv", "tri.csv"]
+
+
+def test_cmd_converge_degenerate_refuses_full_rank(tmp_path, cube_csv, capsys):
+    out = tmp_path / "full.csv"
+    assert main(["converge", cube_csv, "--out", str(out), "--samples", "50",
+                 "--eps-list", "0.1", "--degenerate"]) == 3
+    assert "converge without --degenerate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cap_radius_without_center_exit_2(tmp_path, cube_csv, capsys):
     out = tmp_path / "cap.csv"
     assert main(["approx", cube_csv, "--out", str(out), "--cap-radius", "0.3"]) == 2

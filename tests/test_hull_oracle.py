@@ -95,6 +95,24 @@ def test_lattice_closed_under_intersection(cube_hull):
                 assert inter in sets
 
 
+@pytest.mark.parametrize("points", [
+    *[random_configuration(np.random.default_rng(40 + d), n, d).points
+      for d, n in ((2, 9), (3, 12), (4, 12), (5, 11))],
+    list(itertools.product((-1.0, 1.0), repeat=3)),
+    list(itertools.product((-1.0, 1.0), repeat=4)),
+], ids=["d2", "d3", "d4", "d5", "cube3", "cube4"])
+def test_face_facet_rows_are_the_table_rows_through_it(points):
+    """A face's ``facet_rows`` are the ascending rows of the facet table whose
+    points hold the face's points, and facet k's own face lists row k alone."""
+    hull = build_hull(build_configuration(points))
+    for face in hull.faces:
+        assert face.facet_rows == tuple(
+            k for k, pts in enumerate(hull.facet_points)
+            if set(face.vertex_indices) <= set(pts))
+    for k, facet in enumerate(hull.facets):
+        assert hull.faces[facet.face_id].facet_rows == (k,)
+
+
 _LATTICE_READS = {
     "facets": lambda h: h.facets,
     "faces": lambda h: h.faces,

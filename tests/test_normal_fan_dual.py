@@ -125,13 +125,12 @@ def test_gauss_map_matches_one_point_queries(monkeypatch, d, n, seed):
     hull = build_hull(random_configuration(np.random.default_rng(seed), n, d))
     pts, _ = sample_boundary(hull, 1, seed=seed)
     tol = hull.coplanarity_tol
-    by_id = {f.face_id: f for f in hull.facets}
     expected = []
     for x in pts:
         assert distances_to_boundary(hull, x)[0] <= tol
         face = minimal_face_containing(hull, x, tol)
         expected.append((face.face_id, face.dim, np.asarray(
-            [by_id[fid].outward_normal for fid in face.incident_facets]).tobytes()))
+            [hull.facets[k].outward_normal for k in face.facet_rows]).tobytes()))
 
     calls = []
     face_distance = hull_oracle.distances_to_face
